@@ -12,6 +12,7 @@ from .charsum import (
     ExponentTuple,
     SumRecord,
     admissible_values,
+    is_admissible,
     iter_all_nonzero_tuples,
     mod3_test,
     orbit,

@@ -37,6 +37,7 @@ __all__ = [
     "sum_over_c",
     "orbit",
     "admissible_values",
+    "is_admissible",
     "survey_N",
     "mod3_test",
     "iter_all_nonzero_tuples",
@@ -262,21 +263,24 @@ def orbit(c: FqElem) -> set[FqElem]:
     }
 
 
-def admissible_values(ctx: FieldCtx) -> list[FqElem]:
-    """All c in F_q arising as c = b^2 with b outside F_q and c - 1 a square.
+def is_admissible(c: FqElem) -> bool:
+    """Whether c = b^2 for some line: b outside F_q with a^2 + 1 = b^2, a in F_q.
 
     Equivalently: c is a non-square of F_q and c - 1 is a nonzero square of
-    F_q.  Ordered by ascending dlog (the deterministic scan order used by
-    certificate searches).  For q = 1 mod 4 the count is exactly (q-1)/4.
+    F_q.
     """
-    out = []
-    for c in ctx.fq_elements():
-        if c.is_zero or c.is_square_in_fq():
-            continue
-        cm1 = c - 1
-        if cm1.is_zero or not cm1.is_square_in_fq():
-            continue
-        out.append(c)
+    if c.is_zero or not c.in_fq or c.is_square_in_fq():
+        return False
+    cm1 = c - 1
+    return not cm1.is_zero and cm1.is_square_in_fq()
+
+
+def admissible_values(ctx: FieldCtx) -> list[FqElem]:
+    """All admissible c (see ``is_admissible``), ordered by ascending dlog
+    (the deterministic scan order used by certificate searches).  For
+    q = 1 mod 4 the count is exactly (q-1)/4.
+    """
+    out = [c for c in ctx.fq_elements() if is_admissible(c)]
     out.sort(key=lambda c: c.dlog)
     return out
 

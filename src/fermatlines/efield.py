@@ -6,7 +6,7 @@ Layers
 ------
 ``Poly``        dense polynomials over F_{q^2}, low degree first.
 ``RatFunc``     canonical rational functions: gcd-reduced, monic denominator.
-``ExtElt``      elements of the cubic extension K[s]/(m0(s)), K = F_{q^2}(t).
+``ExtElt``      elements of the cubic extension L1 = K[s]/(m0(s)), K = F_{q^2}(t).
 ``_QuadElt``    elements of a further quadratic extension (splitting field).
 ``CurvePoint``  a point of E with coordinates at any of these levels.
 
@@ -16,8 +16,19 @@ fibre coordinate s satisfies the cubic  m(s) = t - (f0*f1*f2)(s).  Because m
 is monic *linear* in t, it is irreducible over F_{q^2}(t) for every valid
 line: a root s0 in F_{q^2}(t) would force t = (f0*f1*f2)(s0), whose t-degree
 is 3*deg_t(s0) or 0 - never 1.  The point with x = -f0(s)^d * f2(s)^d,
-y = -f0(s)^{2d} * f2(s)^d lives over the cubic extension; the sum of its
-three Galois conjugates is Galois-stable, hence descends to F_{q^2}(t).
+y = -f0(s)^{2d} * f2(s)^d lives over L1; the sum of its three Galois
+conjugates is Galois-stable, hence a point of E over F_{q^2}(t).
+
+That sum is computed by Riemann-Roch on L(4O) = <1, x, y, x^2> (Silverman,
+The Arithmetic of Elliptic Curves, Ch. III), with one linear solve over K:
+g = x^2 + b*x + c*y + a vanishes at the three conjugates exactly when its
+value at the point is 0 in L1, and its fourth zero P4 gives the sum -P4.
+Only the cubic level L1 is built.
+
+The splitting tower - the quadratic level over L1, the three roots of m0,
+chord-and-tangent addition of the conjugates there, and the descent back
+to K - is kept as the independent route that tests compare against
+(``splitting_roots``, ``conjugate_points``, ``_descend``).
 """
 
 from __future__ import annotations
@@ -1118,19 +1129,57 @@ def _descend(ctx: FieldCtx, S: CurvePoint) -> CurvePoint:
 
 
 def point_from_components(ctx: FieldCtx, f0: Poly, f1: Poly, f2: Poly) -> CurvePoint:
-    """Trace construction from raw line components (chart x3 = 1): form the
-    cubic m0, take the point over the cubic extension, sum its three Galois
-    conjugates, and descend to a rational point of E.
+    """Trace construction from raw line components (chart x3 = 1): the sum
+    P1 + P2 + P3 of the three Galois conjugates of the point over L1, as a
+    rational point of E.
+
+    With xbar, ybar the coordinates reduced modulo m0, the s and s^2
+    coordinates of  xbar^2 + b*xbar + c*ybar + a = 0  in L1 are a 2x2 linear
+    system in b, c over K, and the constant coordinate then gives a.  Then
+    div(g) = P1 + P2 + P3 + P4 - 4O for g = x^2 + b*x + c*y + a, so the sum
+    is -P4.  Eliminating y = -(x^2 + b*x + a)/c from the curve equation
+    leaves a monic quartic in x with x^3-coefficient 2b - c - c^2, whence
+    x4 = c^2 + c - 2b - Tr(xbar).
 
     The pipeline is equivariant under the torus scaling (f0, f1, f2) ->
     (t0*f0, t1*f1, t2*f2) with t0*t1*t2 = 1 and each t_i^d = 1: the product
     f0*f1*f2 and the d-th powers in the coordinates are literally unchanged.
     """
-    points, _ = _conjugates(ctx, f0, f1, f2)
-    S = curve_add(ctx, curve_add(ctx, points[0], points[1]), points[2])
-    result = _descend(ctx, S)
+    cubic = _build_cubic(ctx, f0, f1, f2)
+    xvec, yvec = _coordinate_vectors(ctx, cubic, f0, f2)
+    where = (
+        f"q = {ctx.q}, components"
+        f" ({f0.pretty('s')}, {f1.pretty('s')}, {f2.pretty('s')})"
+    )
+    x0, x1, x2 = xvec
+    y0, y1, y2 = yvec
+    if x1.is_zero and x2.is_zero:
+        raise ContradictionError(
+            f"{where}: x = {x0.pretty()} lies in K, expected a generator of"
+            " the cubic level"
+        )
+    det = x1 * y2 - x2 * y1
+    if det.is_zero:
+        # 1, xbar, ybar are K-dependent: the conjugates are collinear.
+        return CurvePoint.infinity(FunctionField(ctx))
+    xbar = ExtElt(cubic, xvec)
+    xsq = (xbar * xbar).vec
+    b = (xsq[2] * y1 - xsq[1] * y2) / det
+    c = (xsq[1] * x2 - xsq[2] * x1) / det
+    if c.is_zero:
+        raise ContradictionError(
+            f"{where}: y-coefficient c = 0, so x satisfies a quadratic over K,"
+            " expected c != 0"
+        )
+    a = -(xsq[0] + b * x0 + c * y0)
+    _, m1, m2, _ = cubic.m0
+    two, three = RatFunc.const(ctx, 2), RatFunc.const(ctx, 3)
+    trace_x = three * x0 - m2 * x1 + (m2 * m2 - two * m1) * x2
+    x4 = c * c + c - two * b - trace_x
+    y4 = -(a + b * x4 + x4 * x4) / c
+    result = curve_neg(ctx, CurvePoint.rational(ctx, x4, y4))
     if not result.on_curve():
-        raise ContradictionError("descended point violates the curve equation")
+        raise ContradictionError(f"{where}: trace point violates the curve equation")
     return result
 
 
@@ -1138,7 +1187,10 @@ def construct_point(ctx: FieldCtx, L: Line) -> CurvePoint:
     """The rational point of E attached to the line L by the trace of its
     three Galois-conjugate points."""
     f0, f1, f2 = line_components(ctx, L)
-    return point_from_components(ctx, f0, f1, f2)
+    try:
+        return point_from_components(ctx, f0, f1, f2)
+    except ContradictionError as err:
+        raise ContradictionError(f"line (a, b) = ({L.a}, {L.b}): {err}") from err
 
 
 def mu_d_translate(ctx: FieldCtx, P: CurvePoint, zeta: FqElem) -> CurvePoint:

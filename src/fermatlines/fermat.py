@@ -27,9 +27,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .charsum import ExponentTuple, sum_S
+from .charsum import ExponentTuple, is_admissible, sum_S
 from .cyc import CycElt
-from .gf import ContradictionError, FieldCtx, FqElem, NonRationalError, frobenius, in_mu_d
+from .gf import (
+    ContradictionError,
+    FieldCtx,
+    FqElem,
+    NonRationalError,
+    frobenius,
+    in_mu_d,
+    primitive_root_of_unity,
+)
 
 __all__ = [
     "Line",
@@ -103,15 +111,11 @@ class Line:
 def lines_for_c(ctx: FieldCtx, c: FqElem) -> list[Line]:
     """All lines with b^2 = c, ordered by (dlog a, dlog b).
 
-    Empty exactly when c is not admissible (c must be an F_q non-square
-    with c - 1 a nonzero square).
+    Empty exactly when c is not admissible (``charsum.is_admissible``).
     """
-    out = []
-    if c.is_zero or not c.in_fq or c.is_square_in_fq():
-        return out
+    if not is_admissible(c):
+        return []
     cm1 = c - 1
-    if cm1.is_zero or not cm1.is_square_in_fq():
-        return out
     # a ranges over the square roots of c - 1 in F_q, b over those of c.
     b0 = ctx.elem(int(ctx.exp[c.dlog // 2]))
     a_dlog_half = cm1.dlog // 2
@@ -120,9 +124,7 @@ def lines_for_c(ctx: FieldCtx, c: FqElem) -> list[Line]:
     a0 = ctx.elem(int(ctx.exp[a_dlog_half]))
     if not a0.in_fq or a0 * a0 != cm1:
         raise ContradictionError("square root of c - 1 failed to land in F_q")
-    for a in (a0, -a0):
-        for b in (b0, -b0):
-            out.append(Line(ctx, a, b))
+    out = [Line(ctx, a, b) for a in (a0, -a0) for b in (b0, -b0)]
     out.sort(key=lambda L: (L.a.dlog, L.b.dlog))
     return out
 
@@ -136,10 +138,9 @@ def line_for_thm1(ctx: FieldCtx) -> Line:
     """
     if ctx.q % 12 != 7:
         raise ValueError("the single-line construction requires q = 7 mod 12")
-    candidates = [
-        x for x in ctx.elements() if not x.is_zero and x.multiplicative_order() == 12
-    ]
-    b = min(candidates, key=lambda x: x.code)
+    # the elements of order 12 are exactly the unit powers of a primitive one
+    zeta12 = primitive_root_of_unity(ctx, 12)
+    b = min((zeta12**u for u in (1, 5, 7, 11)), key=lambda x: x.code)
     return Line(ctx, b * b, b)
 
 

@@ -160,17 +160,7 @@ def _pp_is_irreducible(coeffs, p):
         return t
 
     full = tuple(coeffs) + (1,)
-    primes = set()
-    m = n
-    f = 2
-    while f * f <= m:
-        while m % f == 0:
-            primes.add(f)
-            m //= f
-        f += 1
-    if m > 1:
-        primes.add(m)
-    for r in sorted(primes):
+    for r in _prime_factors(n):
         t = x_pow_p_iter(n // r)
         diff = list(t) + [0] * (2 - len(t))
         diff[1] = (diff[1] - 1) % p

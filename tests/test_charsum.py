@@ -14,6 +14,7 @@ import pytest
 from fermatlines.charsum import (
     ExponentTuple,
     admissible_values,
+    is_admissible,
     iter_all_nonzero_tuples,
     mod3_test,
     orbit,
@@ -302,6 +303,7 @@ def test_admissible_equals_b_squared_set():
         ctx = make_field(p)
         via_pairs = {(b * b).code for _, b in find_ab_pairs(ctx)}
         assert {c.code for c in admissible_values(ctx)} == via_pairs
+        assert {c.code for c in ctx.elements() if is_admissible(c)} == via_pairs
 
 
 def test_orbit_admissibility_pattern_q13():

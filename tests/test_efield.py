@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermatlines import efield
 from fermatlines.efield import (
     CubicExt,
     CurvePoint,
@@ -12,6 +13,7 @@ from fermatlines.efield import (
     Poly,
     QuadExt,
     RatFunc,
+    _descend,
     _poly_sqrt_monic,
     _ratfunc_sqrt,
     conjugate_points,
@@ -24,7 +26,7 @@ from fermatlines.efield import (
     splitting_roots,
 )
 from fermatlines.fermat import Line, line_for_thm1, lines_for_c
-from fermatlines.gf import ContradictionError, make_field
+from fermatlines.gf import ContradictionError, find_ab_pairs, make_field
 
 CTX7 = make_field(7)
 CTX5 = make_field(5)
@@ -284,6 +286,72 @@ def test_construct_point_q5_quadratic_tower():
     P = construct_point(ctx, L)
     assert not P.is_infinity
     assert P.on_curve()
+
+
+# ----------------------------------------------------------------------------
+# the Riemann-Roch solve against the splitting-tower oracle
+# ----------------------------------------------------------------------------
+
+
+def tower_point(ctx, L):
+    """The trace by the splitting tower: add the three conjugates at the
+    splitting level, then descend to K."""
+    P1, P2, P3 = conjugate_points(ctx, L)
+    return _descend(ctx, curve_add(ctx, curve_add(ctx, P1, P2), P3))
+
+
+@pytest.mark.parametrize(
+    "p,n_lines",
+    [
+        (5, 4),
+        (7, 8),
+        pytest.param(11, 12, marks=pytest.mark.extended),
+        pytest.param(13, 12, marks=pytest.mark.extended),
+    ],
+)
+def test_construct_point_matches_tower(p, n_lines):
+    ctx = make_field(p)
+    pairs = find_ab_pairs(ctx)
+    assert len(pairs) == n_lines
+    for a, b in pairs:
+        L = Line(ctx, a, b)
+        assert construct_point(ctx, L) == tower_point(ctx, L), (a, b)
+
+
+def test_construct_point_never_enters_the_tower(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the splitting tower was entered")
+
+    for name in ("_split_cubic", "QuadExt", "_descend"):
+        monkeypatch.setattr(efield, name, refuse)
+    assert construct_point(CTX7, line_for_thm1(CTX7)) == printed_point()
+
+
+def test_construct_point_x_in_base_field_is_a_contradiction(monkeypatch):
+    z, one, t = RatFunc.zero(CTX7), RatFunc.one(CTX7), RatFunc.t(CTX7)
+    monkeypatch.setattr(
+        efield, "_coordinate_vectors", lambda *args: ((t, z, z), (z, one, z))
+    )
+    L = line_for_thm1(CTX7)
+    with pytest.raises(ContradictionError) as info:
+        construct_point(CTX7, L)
+    msg = str(info.value)
+    assert "q = 7" in msg and f"({L.a}, {L.b})" in msg and "x = t lies in K" in msg
+
+
+def test_construct_point_zero_y_coefficient_is_a_contradiction(monkeypatch):
+    # Over the reducible m0 = s^3, xbar = s^2 satisfies xbar^2 = 0, which
+    # forces c = 0; over an irreducible m0 no xbar outside K can do that.
+    z, one = RatFunc.zero(CTX7), RatFunc.one(CTX7)
+    monkeypatch.setattr(efield, "_build_cubic", lambda ctx, *f: CubicExt(ctx, z, z, z))
+    monkeypatch.setattr(
+        efield, "_coordinate_vectors", lambda *args: ((z, z, one), (z, one, z))
+    )
+    L = line_for_thm1(CTX7)
+    with pytest.raises(ContradictionError) as info:
+        construct_point(CTX7, L)
+    msg = str(info.value)
+    assert "q = 7" in msg and f"({L.a}, {L.b})" in msg and "c = 0" in msg
 
 
 # ----------------------------------------------------------------------------

@@ -95,6 +95,13 @@ def test_line_for_thm1_q19():
     assert L.a * L.a + 1 == L.b * L.b
 
 
+@pytest.mark.parametrize("p", [7, 19, 31, 43])
+def test_line_for_thm1_b_is_smallest_code_of_order_12(p):
+    ctx = make_field(p)
+    scan = [x for x in ctx.elements() if not x.is_zero and x.multiplicative_order() == 12]
+    assert line_for_thm1(ctx).b == min(scan, key=lambda x: x.code)
+
+
 # ----------------------------------------------------------------------------
 # torus elements
 # ----------------------------------------------------------------------------
