@@ -16,25 +16,7 @@ import argparse
 import sys
 
 from fermatlines.certify import certify, expected_rank
-from fermatlines.gf import make_field
-
-
-def prime_power(n: int):
-    """(p, k) with n = p^k and p prime, or None."""
-    if n < 2:
-        return None
-    for p in range(2, n + 1):
-        if p * p > n:
-            return (n, 1)
-        if n % p:
-            continue
-        k = 0
-        m = n
-        while m % p == 0:
-            m //= p
-            k += 1
-        return (p, k) if m == 1 else None
-    return None
+from fermatlines.gf import make_field, prime_power
 
 
 def parse_args(argv=None):

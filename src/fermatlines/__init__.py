@@ -72,6 +72,7 @@ from .gf import (
     frobenius,
     in_mu_d,
     make_field,
+    prime_power,
     primitive_root_of_unity,
 )
 from .certify import (
@@ -81,8 +82,6 @@ from .certify import (
     CoverageEntry,
     certify,
     certify_general,
-    certify_thm1,
-    certify_thm2,
     expected_rank,
     galois_orbits,
 )

@@ -10,17 +10,20 @@ verdict FULL_RANK_CERTIFIED means exactly that this nonzero-projection
 criterion holds for all tuples; the rank value itself comes from the rank
 formula, not from an independent height computation.
 
-Three certification strategies:
+``certify`` is one scan over the Galois orbits of tuples: the first
+candidate c with S != 2q on the orbit representative witnesses the whole
+orbit, because S of a scaled tuple is the Galois image of S and 2q is
+Galois-stable.  The candidate list depends on q mod 12:
 
-``certify_thm1``   q = 7 mod 12: the single line with b a primitive 12th
-                   root of unity and a = b**2 covers everything, each
-                   nontrivial tuple via the mod-3 obstruction S = 1 mod 3.
-``certify_thm2``   q = 1 mod 4: one witness per Galois orbit of tuples,
-                   found by scanning admissible c; the witness transfers to
-                   the whole orbit because S of a scaled tuple is the Galois
-                   image of S, and 2q is Galois-stable.
-``certify_general``any q: brute-force scan of every tuple x admissible c;
-                   NOT_CERTIFIED is a legitimate outcome (q = 11, 71).
+- q = 7 mod 12: the single line with b a primitive 12th root of unity and
+  a = b**2; every sum is checked against the mod-3 obstruction S = 1 mod 3.
+- otherwise: every admissible c.  For q = 1 mod 4 a witness always exists
+  and at most n - 1 lines are used (n the number of divisors of d); for
+  q = 11 mod 12 no theorem applies and NOT_CERTIFIED is a legitimate
+  outcome (q = 11 is one).
+
+``certify_general`` scans every tuple against every admissible c with no
+Galois transfer; it is the brute-force oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -28,17 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .charsum import ExponentTuple, admissible_values, mod3_test, sum_S
+from .charsum import ExponentTuple, admissible_values, is_one_mod_3, sum_S
 from .cyc import CycElt
 from .fermat import line_for_thm1, w_tuples
-from .gf import ContradictionError, FieldCtx, FqElem
+from .gf import ContradictionError, FieldCtx, FqElem, prime_power
 
 __all__ = [
     "Certificate",
     "certify",
     "certify_general",
-    "certify_thm1",
-    "certify_thm2",
     "expected_rank",
     "galois_orbits",
 ]
@@ -49,26 +50,12 @@ NOT_CERTIFIED = "NOT_CERTIFIED"
 
 def expected_rank(q: int) -> int:
     """The rank formula: q for q = 1 mod 3, q - 2 for q = 2 mod 3."""
-    if not isinstance(q, int) or q < 5:
-        raise ValueError("q must be an integer prime power with p >= 5")
-    p = q
-    for cand in range(2, q):
-        if cand * cand > q:
-            break
-        if q % cand == 0:
-            p = cand
-            break
-    m = q
-    while m % p == 0:
-        m //= p
-    if m != 1:
-        raise ValueError("q must be a prime power")
-    if p < 5:
+    pk = prime_power(q) if isinstance(q, int) else None
+    if pk is None:
+        raise ValueError("q must be an integer prime power")
+    if pk[0] < 5:
         raise ValueError("the characteristic must be at least 5")
-    r = q % 3
-    if r == 0:
-        raise ValueError("q divisible by 3 is impossible for p >= 5")
-    return q if r == 1 else q - 2
+    return q if q % 3 == 1 else q - 2
 
 
 def galois_orbits(d: int) -> list[list[int]]:
@@ -121,6 +108,8 @@ class Certificate:
 
 def _assemble(ctx: FieldCtx, coverage: dict) -> Certificate:
     tuples = w_tuples(ctx.d)
+    # callers iterate coverage in tuple order, whatever order it was filled in
+    coverage = {t: coverage[t] for t in tuples}
     all_nonzero = all(coverage[t].nonzero for t in tuples)
     used = {e.c.code for e in coverage.values() if e.c is not None and e.nonzero}
     return Certificate(
@@ -140,67 +129,68 @@ def _trivial_entry(d: int) -> CoverageEntry:
     return CoverageEntry(ExponentTuple.trivial(d), None, None, True)
 
 
-def certify_thm1(ctx: FieldCtx) -> Certificate:
-    """Single-line certificate for q = 7 mod 12 via the mod-3 obstruction."""
-    if ctx.q % 12 != 7:
-        raise ValueError("certify_thm1 requires q = 7 mod 12")
-    L = line_for_thm1(ctx)
-    c = L.c
-    d = ctx.d
-    coverage: dict[ExponentTuple, CoverageEntry] = {}
-    coverage[ExponentTuple.trivial(d)] = _trivial_entry(d)
-    two_q = CycElt.from_int(d, 2 * ctx.q)
-    for t in w_tuples(d)[1:]:
-        if not mod3_test(ctx, c, t):
-            raise ContradictionError(
-                f"mod-3 test failed for tuple {t.entries} at q={ctx.q}"
-            )
-        rec = sum_S(ctx, c, t)
-        if rec.value == two_q:
-            raise ContradictionError(
-                "S = 2q despite passing the mod-3 test (2q = 2 mod 3 != 1)"
-            )
-        coverage[t] = CoverageEntry(t, c, rec.value, True)
-    cert = _assemble(ctx, coverage)
-    if cert.lines_used != 1:
-        raise ContradictionError("theorem-1 certificate must use a single line")
-    return cert
+def certify(ctx: FieldCtx) -> Certificate:
+    """Certify full rank by one scan over the Galois orbits of w-type tuples.
 
+    Each orbit takes the first candidate c whose S on the orbit
+    representative differs from 2q; every other member is swept with that
+    witness.  A theorem promises a witness unless q = 11 mod 12; there a
+    missing witness leaves the orbit uncovered (NOT_CERTIFIED).
+    """
+    q, d = ctx.q, ctx.d
+    single_line = q % 12 == 7
+    candidates = [line_for_thm1(ctx).c] if single_line else admissible_values(ctx)
+    two_q = CycElt.from_int(d, 2 * q)
 
-def certify_thm2(ctx: FieldCtx) -> Certificate:
-    """Orbit-by-orbit certificate for q = 1 mod 4: one admissible witness c
-    per Galois orbit of tuples, at most n-1 lines in total."""
-    if ctx.q % 4 != 1:
-        raise ValueError("certify_thm2 requires q = 1 mod 4")
-    d = ctx.d
-    admissible = admissible_values(ctx)
-    two_q = CycElt.from_int(d, 2 * ctx.q)
-    coverage: dict[ExponentTuple, CoverageEntry] = {}
-    coverage[ExponentTuple.trivial(d)] = _trivial_entry(d)
-    for orbit_members in galois_orbits(d):
-        rep = ExponentTuple.w_type(d, orbit_members[0])
-        witness = None
-        for c in admissible:
-            if sum_S(ctx, c, rep).value != two_q:
-                witness = c
+    def swept(c: FqElem, t: ExponentTuple) -> CycElt:
+        s = sum_S(ctx, c, t).value
+        if single_line and not is_one_mod_3(s):
+            raise ContradictionError(
+                f"mod-3 obstruction failed at q={q} for tuple {t.entries}, c={c.dlog}:"
+                f" expected S = 1 mod 3, got S = {list(s.canon)}"
+            )
+        return s
+
+    coverage = {ExponentTuple.trivial(d): _trivial_entry(d)}
+    for orbit in galois_orbits(d):
+        rep = ExponentTuple.w_type(d, orbit[0])
+        for c in candidates:
+            s = swept(c, rep)
+            if s != two_q:
                 break
-        if witness is None:
-            raise ContradictionError(
-                f"no admissible c with S != 2q for orbit of i={orbit_members[0]}"
-                f" at q={ctx.q}"
-            )
-        for i in orbit_members:
-            t = ExponentTuple.w_type(d, i)
-            rec = sum_S(ctx, witness, t)
-            if rec.value == two_q:
+        else:
+            if q % 12 != 11:
                 raise ContradictionError(
-                    "Galois transfer failed: orbit member hit S = 2q"
+                    f"no witness at q={q} for tuple {rep.entries}: expected S != 2q for"
+                    f" some c in {[c.dlog for c in candidates]}, got S = 2q = {2 * q}"
+                    " for each"
                 )
-            coverage[t] = CoverageEntry(t, witness, rec.value, True)
+            for i in orbit:
+                t = ExponentTuple.w_type(d, i)
+                coverage[t] = CoverageEntry(t, None, None, False)
+            continue
+        coverage[rep] = CoverageEntry(rep, c, s, True)
+        for i in orbit[1:]:
+            t = ExponentTuple.w_type(d, i)
+            s = swept(c, t)
+            # S_c(u*t) = sigma_u(S_c(t)), and sigma_u fixes 2q
+            if s == two_q:
+                raise ContradictionError(
+                    f"Galois transfer failed at q={q} for tuple {t.entries}, c={c.dlog}:"
+                    f" expected S != 2q as for {rep.entries}, got S = 2q = {2 * q}"
+                )
+            coverage[t] = CoverageEntry(t, c, s, True)
     cert = _assemble(ctx, coverage)
+    if single_line and cert.lines_used != 1:
+        raise ContradictionError(
+            f"single-line certificate at q={q}: expected 1 line, got {cert.lines_used}"
+        )
     n = sum(1 for e in range(1, d + 1) if d % e == 0)
-    if cert.lines_used > n - 1:
-        raise ContradictionError("theorem-2 certificate exceeded n-1 lines")
+    if q % 4 == 1 and cert.lines_used > n - 1:
+        raise ContradictionError(
+            f"orbit certificate at q={q}: expected at most n - 1 = {n - 1} lines,"
+            f" got {cert.lines_used}"
+        )
     return cert
 
 
@@ -221,17 +211,3 @@ def certify_general(ctx: FieldCtx) -> Certificate:
                 break
         coverage[t] = entry
     return _assemble(ctx, coverage)
-
-
-def certify(ctx: FieldCtx) -> Certificate:
-    """Dispatch on q mod 12: 1 and 5 go to the orbit certificate, 7 to the
-    single-line certificate, 11 to the brute-force scan (where NOT_CERTIFIED
-    is possible — no theorem covers q = 11 mod 12)."""
-    r = ctx.q % 12
-    if r in (1, 5):
-        return certify_thm2(ctx)
-    if r == 7:
-        return certify_thm1(ctx)
-    if r == 11:
-        return certify_general(ctx)
-    raise ContradictionError(f"impossible residue q mod 12 = {r} for p >= 5")

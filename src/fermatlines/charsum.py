@@ -39,6 +39,7 @@ __all__ = [
     "admissible_values",
     "is_admissible",
     "survey_N",
+    "is_one_mod_3",
     "mod3_test",
     "iter_all_nonzero_tuples",
 ]
@@ -337,7 +338,11 @@ def mod3_test(ctx: FieldCtx, c: FqElem, t: ExponentTuple) -> bool:
         raise ValueError("c must be a primitive 6th root of unity in F_q")
     if not (t.is_w_type and t.all_nonzero):
         raise ValueError("mod3_test requires a w-type tuple with nonzero entries")
-    s = sum_S(ctx, c, t).value
+    return is_one_mod_3(sum_S(ctx, c, t).value)
+
+
+def is_one_mod_3(s: CycElt) -> bool:
+    """Whether s = 1 mod 3*Z[zeta_d]."""
     residue = mod_ideal_class(s, 3)
     return residue == (1,) + (0,) * (len(residue) - 1)
 

@@ -31,7 +31,7 @@ import os
 import sys
 
 from .certify import certify, expected_rank
-from .charsum import ExponentTuple, admissible_values, sum_S, survey_N
+from .charsum import ExponentTuple, admissible_values, is_admissible, sum_S, survey_N
 from .efield import construct_point, mu_d_translate
 from .fermat import Line, line_for_thm1, lines_for_c
 from .gf import ContradictionError, FieldCtx, FqElem, make_field, primitive_root_of_unity
@@ -194,10 +194,11 @@ def cmd_survey(ctx: FieldCtx, args) -> int:
 
 
 def cmd_lines(ctx: FieldCtx, args) -> int:
-    admissible = admissible_values(ctx)
-    if args.c is not None:
+    if args.c is None:
+        admissible = admissible_values(ctx)
+    else:
         c = _parse_elem(ctx, args.c, "c")
-        if c not in admissible:
+        if not is_admissible(c):
             raise ValueError(
                 "--c is not admissible: it must be a nonsquare of F_q with c-1 a nonzero square"
             )

@@ -39,6 +39,7 @@ __all__ = [
     "FieldCtx",
     "FqElem",
     "make_field",
+    "prime_power",
     "frobenius",
     "in_mu_d",
     "chi_exp",
@@ -203,6 +204,20 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, k) with n = p^k and p prime, or None when n is not a prime power."""
+    if n < 2:
+        return None
+    factors = _prime_factors(n)
+    if len(factors) != 1:
+        return None
+    p, k = factors[0], 0
+    while n > 1:
+        n //= p
+        k += 1
+    return p, k
 
 
 # ----------------------------------------------------------------------------

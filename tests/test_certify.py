@@ -5,9 +5,11 @@ Independent oracles used here:
   - the trace of Frobenius of y^2 = x(x+1)(x+c) by brute-force point
     counting (pins the order-2 character sums);
   - the quadratic-residue sign pattern for order-4 character sums;
-  - hand-computed Galois orbit partitions for small d.
+  - hand-computed Galois orbit partitions for small d;
+  - certify_general, the per-tuple brute-force scan with no Galois transfer.
 """
 
+import importlib
 import json
 from fractions import Fraction
 from math import gcd
@@ -22,15 +24,18 @@ from fermatlines import (
     admissible_values,
     certify,
     certify_general,
-    certify_thm1,
-    certify_thm2,
     expected_rank,
     galois_orbits,
+    line_for_thm1,
     make_field,
+    prime_power,
     sum_S,
     w_tuples,
 )
-from fermatlines.charsum import ExponentTuple
+from fermatlines.charsum import ExponentTuple, SumRecord
+
+certify_mod = importlib.import_module("fermatlines.certify")
+charsum_mod = importlib.import_module("fermatlines.charsum")
 
 _fields = {}
 
@@ -250,44 +255,93 @@ def test_certify_q11_uncovered_really_exhausts_admissible():
 
 
 # ----------------------------------------------------------------------------
-# route agreement and dispatch
+# the orbit scan against the brute-force oracle
 # ----------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p", [7, 19])
-def test_thm1_and_general_agree(p):
-    F = field(p)
-    a = certify_thm1(F)
-    b = certify_general(F)
+@pytest.mark.parametrize("q", [5, 11, 13, 17, 23, 25, 29])
+def test_certify_matches_general(q):
+    # outside q = 7 mod 12 both scan admissible c in the same order, and the
+    # first witness of an orbit is the first witness of each member
+    F = field(*prime_power(q))
+    assert certify(F).to_json_dict() == certify_general(F).to_json_dict()
+
+
+@pytest.mark.parametrize("q", [7, 19, 31])
+def test_certify_agrees_with_general_q7_mod_12(q):
+    # the single thm-1 line need not be the first admissible witness, so only
+    # the verdict and the coverage flags are comparable
+    F = field(q)
+    a, b = certify(F), certify_general(F)
     assert a.verdict == b.verdict == FULL_RANK_CERTIFIED
     assert a.tuples == b.tuples
+    assert [a.coverage[t].nonzero for t in a.tuples] == [
+        b.coverage[t].nonzero for t in b.tuples
+    ]
 
 
-@pytest.mark.parametrize("p", [5, 13, 17])
-def test_thm2_and_general_agree(p):
-    F = field(p)
-    a = certify_thm2(F)
-    b = certify_general(F)
-    assert a.verdict == b.verdict == FULL_RANK_CERTIFIED
-    assert a.tuples == b.tuples
+def test_certify_sweeps_each_tuple_once_q19(monkeypatch):
+    # counted at both binding sites, so a helper such as mod3_test that
+    # sweeps again inside charsum is counted too
+    calls = []
+
+    def counting(ctx, c, t):
+        calls.append(t)
+        return sum_S(ctx, c, t)
+
+    for mod in (certify_mod, charsum_mod):
+        monkeypatch.setattr(mod, "sum_S", counting)
+    cert = certify(field(19))
+    assert cert.verdict == FULL_RANK_CERTIFIED
+    assert len(calls) == len(w_tuples(20)) - 1 == 19
+    assert set(calls) == set(w_tuples(20)[1:])
 
 
-def test_dispatch_matches_special_paths():
-    assert certify(field(7)).to_json_dict() == certify_thm1(field(7)).to_json_dict()
-    assert certify(field(13)).to_json_dict() == certify_thm2(field(13)).to_json_dict()
-    assert certify(field(5)).to_json_dict() == certify_thm2(field(5)).to_json_dict()
-    assert certify(field(11)).to_json_dict() == certify_general(field(11)).to_json_dict()
+def _constant_sum(value):
+    def fake(ctx, c, t):
+        return SumRecord(c, t, CycElt.from_int(ctx.d, value(ctx)), value(ctx))
+
+    return fake
 
 
-def test_preconditions():
-    with pytest.raises(ValueError):
-        certify_thm1(field(5))
-    with pytest.raises(ValueError):
-        certify_thm1(field(11))
-    with pytest.raises(ValueError):
-        certify_thm2(field(7))
-    with pytest.raises(ValueError):
-        certify_thm2(field(11))
+def test_certify_no_witness_is_a_contradiction(monkeypatch):
+    monkeypatch.setattr(certify_mod, "sum_S", _constant_sum(lambda ctx: 2 * ctx.q))
+    F = field(13)
+    dlogs = [c.dlog for c in admissible_values(F)]
+    with pytest.raises(ContradictionError) as err:
+        certify(F)
+    msg = str(err.value)
+    assert "no witness at q=13 for tuple (1, 1, 1, 11)" in msg
+    assert f"some c in {dlogs}" in msg and "got S = 2q = 26" in msg
+
+
+def test_certify_galois_transfer_failure_is_a_contradiction(monkeypatch):
+    reps = {o[0] for o in galois_orbits(14)}
+
+    def member_hits_2q(ctx, c, t):
+        if t.i0 in reps:
+            return sum_S(ctx, c, t)
+        return _constant_sum(lambda ctx: 2 * ctx.q)(ctx, c, t)
+
+    monkeypatch.setattr(certify_mod, "sum_S", member_hits_2q)
+    F = field(13)
+    with pytest.raises(ContradictionError) as err:
+        certify(F)
+    witness = certify_general(F).coverage[ExponentTuple.w_type(14, 1)].c
+    msg = str(err.value)
+    assert f"Galois transfer failed at q=13 for tuple (3, 3, 3, 5), c={witness.dlog}" in msg
+    assert "as for (1, 1, 1, 11), got S = 2q = 26" in msg
+
+
+def test_certify_mod3_failure_is_a_contradiction(monkeypatch):
+    monkeypatch.setattr(certify_mod, "sum_S", _constant_sum(lambda ctx: 0))
+    F = field(19)
+    with pytest.raises(ContradictionError) as err:
+        certify(F)
+    c = line_for_thm1(F).c
+    msg = str(err.value)
+    assert f"mod-3 obstruction failed at q=19 for tuple (1, 1, 1, 17), c={c.dlog}" in msg
+    assert "expected S = 1 mod 3, got S = [0" in msg
 
 
 # ----------------------------------------------------------------------------

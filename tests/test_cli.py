@@ -169,10 +169,11 @@ def test_lines_restrict_to_one_c(capsys):
 
 
 def test_lines_rejects_inadmissible_c(capsys):
-    rc, _ = run(capsys, "lines", "--p", "7", "--c", "2")
-    assert rc == 2  # 2 is a square mod 7
-    rc, _ = run(capsys, "lines", "--p", "7", "--c", "0")
-    assert rc == 2
+    message = "--c is not admissible: it must be a nonsquare of F_q with c-1 a nonzero square"
+    # 2 is a square mod 7, and w = (0, 1) lies outside F_7
+    for c in ("2", "0", "0,1"):
+        assert main(["lines", "--p", "7", "--c", c]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_lines_csv(capsys):

@@ -8,6 +8,7 @@ and pair searches by brute force over integer residues.
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from fermatlines.gf import (
     frobenius,
     in_mu_d,
     make_field,
+    prime_power,
     primitive_root_of_unity,
 )
 
@@ -88,6 +90,13 @@ def test_irreducibility_helper_agrees_with_root_scan(p, k):
     for c0 in range(p):
         for c1 in range(p):
             assert _pp_is_irreducible([c0, c1], p) == naive_irreducible_deg2(c0, c1, p)
+
+
+def test_prime_power_matches_sympy():
+    for n in range(-3, 2000):
+        factors = sympy.factorint(n) if n >= 2 else {}
+        expected = next(iter(factors.items())) if len(factors) == 1 else None
+        assert prime_power(n) == expected, n
 
 
 # ----------------------------------------------------------------------------
