@@ -22,8 +22,14 @@ Galois-stable.  The candidate list depends on q mod 12:
   q = 11 mod 12 no theorem applies and NOT_CERTIFIED is a legitimate
   outcome (q = 11 is one).
 
+The sums come from the F_q-plane route of ``charsum``: one histogram of
+the tuple (1, 1, 1) per candidate c tried, pushed forward by k -> ik to
+the counts vector of (i, i, i, -3i).  The mod-3, Galois-transfer and
+line-count checks run on those values.
+
 ``certify_general`` scans every tuple against every admissible c with no
-Galois transfer; it is the brute-force oracle the tests compare against.
+Galois transfer, with ``sum_S`` for every sum; it is the brute-force oracle
+the tests compare against.
 """
 
 from __future__ import annotations
@@ -31,7 +37,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .charsum import ExponentTuple, admissible_values, is_one_mod_3, sum_S
+from .charsum import (
+    ExponentTuple,
+    _PlaneSweep,
+    _pushforward,
+    admissible_values,
+    is_one_mod_3,
+    sum_S,
+)
 from .cyc import CycElt
 from .fermat import line_for_thm1, w_tuples
 from .gf import ContradictionError, FieldCtx, FqElem, prime_power
@@ -141,9 +154,13 @@ def certify(ctx: FieldCtx) -> Certificate:
     single_line = q % 12 == 7
     candidates = [line_for_thm1(ctx).c] if single_line else admissible_values(ctx)
     two_q = CycElt.from_int(d, 2 * q)
+    plane = _PlaneSweep(ctx, 1, 1, 1)
+    histograms = {}  # c code -> counts vector of (1, 1, 1)
 
     def swept(c: FqElem, t: ExponentTuple) -> CycElt:
-        s = sum_S(ctx, c, t).value
+        if c.code not in histograms:
+            histograms[c.code] = plane.counts(c)
+        s = CycElt(d, _pushforward(histograms[c.code], t.i0).tolist())
         if single_line and not is_one_mod_3(s):
             raise ContradictionError(
                 f"mod-3 obstruction failed at q={q} for tuple {t.entries}, c={c.dlog}:"

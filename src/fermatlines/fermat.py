@@ -26,6 +26,7 @@ exactly; no step is shared between them past the field tables.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .charsum import ExponentTuple, is_admissible, sum_S
 from .cyc import CycElt
@@ -349,9 +350,18 @@ def w_tuples(d: int) -> list[ExponentTuple]:
 # ----------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
+def _intersections_of(ctx: FieldCtx, L: Line) -> IntersectionSet:
+    # the tuples of one line share its I_L; only the last line is kept
+    return build_intersections(ctx, L)
+
+
 def direct_numerator(ctx: FieldCtx, L: Line, t: ExponentTuple) -> CycElt:
-    """d^3 <L_l, L_l> as a cyclotomic integer, by full I_L enumeration."""
-    iset = build_intersections(ctx, L)
+    """d^3 <L_l, L_l> as a cyclotomic integer, by full I_L enumeration.
+
+    I_L is built once per line: consecutive calls on the same line reuse it.
+    """
+    iset = _intersections_of(ctx, L)
     return iset.lambda_inv_sum(t) + (2 - ctx.d)
 
 

@@ -14,6 +14,7 @@ import json
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from fermatlines import (
@@ -32,7 +33,7 @@ from fermatlines import (
     sum_S,
     w_tuples,
 )
-from fermatlines.charsum import ExponentTuple, SumRecord
+from fermatlines.charsum import ExponentTuple
 
 certify_mod = importlib.import_module("fermatlines.certify")
 charsum_mod = importlib.import_module("fermatlines.charsum")
@@ -280,32 +281,64 @@ def test_certify_agrees_with_general_q7_mod_12(q):
     ]
 
 
-def test_certify_sweeps_each_tuple_once_q19(monkeypatch):
-    # counted at both binding sites, so a helper such as mod3_test that
-    # sweeps again inside charsum is counted too
-    calls = []
+def _count_histograms(monkeypatch):
+    """Record the c of every plane histogram; sum_S calls are recorded at
+    both binding sites (certify and charsum)."""
+    histograms, sums = [], []
+    plane_counts = charsum_mod._PlaneSweep.counts
 
-    def counting(ctx, c, t):
-        calls.append(t)
+    def counting_histogram(self, c):
+        histograms.append(c)
+        return plane_counts(self, c)
+
+    def counting_sum(ctx, c, t):
+        sums.append(t)
         return sum_S(ctx, c, t)
 
+    monkeypatch.setattr(charsum_mod._PlaneSweep, "counts", counting_histogram)
     for mod in (certify_mod, charsum_mod):
-        monkeypatch.setattr(mod, "sum_S", counting)
-    cert = certify(field(19))
+        monkeypatch.setattr(mod, "sum_S", counting_sum)
+    return histograms, sums
+
+
+def test_certify_sweeps_once_for_the_single_line_q19(monkeypatch):
+    histograms, sums = _count_histograms(monkeypatch)
+    F = field(19)
+    cert = certify(F)
     assert cert.verdict == FULL_RANK_CERTIFIED
-    assert len(calls) == len(w_tuples(20)) - 1 == 19
-    assert set(calls) == set(w_tuples(20)[1:])
+    assert sums == []
+    assert histograms == [line_for_thm1(F).c]
 
 
-def _constant_sum(value):
-    def fake(ctx, c, t):
-        return SumRecord(c, t, CycElt.from_int(ctx.d, value(ctx)), value(ctx))
+@pytest.mark.parametrize("q", [11, 13, 17])
+def test_certify_sweeps_once_per_candidate_tried(monkeypatch, q):
+    F = field(q)
+    # the orbit scan tries admissible c in order up to each orbit's first
+    # witness, or all of them for an uncovered orbit
+    admissible = admissible_values(F)
+    general = certify_general(F)
+    tried = 0
+    for orbit in galois_orbits(F.d):
+        entry = general.coverage[ExponentTuple.w_type(F.d, orbit[0])]
+        tried = max(tried, admissible.index(entry.c) + 1 if entry.nonzero else len(admissible))
+    histograms, sums = _count_histograms(monkeypatch)
+    certify(F)
+    assert sums == []
+    assert histograms == admissible[:tried]
+
+
+def _constant_pushforward(value):
+    # stands in for the pushforward: every tuple gets the integer value(q)
+    def fake(counts, i):
+        out = np.zeros(len(counts), dtype=np.int64)
+        out[0] = value(len(counts) - 1)
+        return out
 
     return fake
 
 
 def test_certify_no_witness_is_a_contradiction(monkeypatch):
-    monkeypatch.setattr(certify_mod, "sum_S", _constant_sum(lambda ctx: 2 * ctx.q))
+    monkeypatch.setattr(certify_mod, "_pushforward", _constant_pushforward(lambda q: 2 * q))
     F = field(13)
     dlogs = [c.dlog for c in admissible_values(F)]
     with pytest.raises(ContradictionError) as err:
@@ -317,13 +350,14 @@ def test_certify_no_witness_is_a_contradiction(monkeypatch):
 
 def test_certify_galois_transfer_failure_is_a_contradiction(monkeypatch):
     reps = {o[0] for o in galois_orbits(14)}
+    pushforward = certify_mod._pushforward
 
-    def member_hits_2q(ctx, c, t):
-        if t.i0 in reps:
-            return sum_S(ctx, c, t)
-        return _constant_sum(lambda ctx: 2 * ctx.q)(ctx, c, t)
+    def member_hits_2q(counts, i):
+        if i in reps:
+            return pushforward(counts, i)
+        return _constant_pushforward(lambda q: 2 * q)(counts, i)
 
-    monkeypatch.setattr(certify_mod, "sum_S", member_hits_2q)
+    monkeypatch.setattr(certify_mod, "_pushforward", member_hits_2q)
     F = field(13)
     with pytest.raises(ContradictionError) as err:
         certify(F)
@@ -334,7 +368,7 @@ def test_certify_galois_transfer_failure_is_a_contradiction(monkeypatch):
 
 
 def test_certify_mod3_failure_is_a_contradiction(monkeypatch):
-    monkeypatch.setattr(certify_mod, "sum_S", _constant_sum(lambda ctx: 0))
+    monkeypatch.setattr(certify_mod, "_pushforward", _constant_pushforward(lambda q: 0))
     F = field(19)
     with pytest.raises(ContradictionError) as err:
         certify(F)

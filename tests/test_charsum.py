@@ -1,18 +1,26 @@
 """Character-sum engine tests.
 
 The vectorized sweep is checked against a completely independent
-element-by-element loop; the closed forms (Jacobi degenerations, the
+element-by-element loop, and the F_q-plane sweep against the F_{q^2}
+sweep (and survey_N against sum_S); the closed forms (Jacobi degenerations, the
 sum-over-c identity, the quadratic identity) are checked against their
 formula values; orbits, admissibility, the extremal survey, and the mod-3
 obstruction are checked against brute force and known small-field data.
 """
 
+import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermatlines.charsum import (
     ExponentTuple,
+    _PlaneSweep,
+    _pushforward,
+    _sweep_counts,
     admissible_values,
     is_admissible,
     iter_all_nonzero_tuples,
@@ -93,6 +101,48 @@ def test_sum_S_matches_naive_oracle(p, k):
         i0, i1, i2 = (rng.randrange(ctx.d) for _ in range(3))
         t = ExponentTuple(ctx.d, i0, i1, i2, -(i0 + i1 + i2))
         assert sum_S(ctx, c, t).value == naive_sum(ctx, c, t)
+
+
+# ----------------------------------------------------------------------------
+# F_q-plane sweep vs the F_{q^2} sweep
+# ----------------------------------------------------------------------------
+
+
+def _reference_counts(ctx, c, i0, i1, i2):
+    return _sweep_counts(ctx, [(i0, 0), (i1, 1), (i2, c.code)])
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_plane_counts_match_sweep_every_tuple_and_c(p):
+    ctx = make_field(p)
+    for i0, i1, i2 in itertools.product(range(ctx.d), repeat=3):
+        sweep = _PlaneSweep(ctx, i0, i1, i2)
+        for c in ctx.fq_elements():
+            expected = _reference_counts(ctx, c, i0, i1, i2)
+            assert sweep.counts(c).tolist() == expected.tolist(), (i0, i1, i2, c.code)
+
+
+@pytest.mark.parametrize("p,k", [(5, 2), (7, 2)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_plane_counts_match_sweep_sampled(p, k, data):
+    ctx = make_field(p, k)
+    c = ctx.elem(data.draw(st.sampled_from(ctx.fq_codes()), label="c"))
+    i0, i1, i2 = data.draw(st.tuples(*[st.integers(0, ctx.d - 1)] * 3), label="tuple")
+    counts = _PlaneSweep(ctx, i0, i1, i2).counts(c)
+    assert counts.tolist() == _reference_counts(ctx, c, i0, i1, i2).tolist()
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_pushforward_gives_every_w_tuple(p):
+    ctx = make_field(p)
+    d = ctx.d
+    sweep = _PlaneSweep(ctx, 1, 1, 1)
+    for c in ctx.fq_elements():
+        hist = sweep.counts(c)
+        for i in range(1, d):
+            expected = _reference_counts(ctx, c, i, i, i)
+            assert _pushforward(hist, i).tolist() == expected.tolist(), (c.code, i)
 
 
 def test_sum_S_rejects_bad_inputs():
@@ -349,6 +399,21 @@ def test_survey_order8_bound_only():
     ctx = make_field(7)
     N, hits, _ = survey_N(ctx, 8)
     assert 4 * N <= 3 * 7 - 9
+
+
+# order 4 needs 4 | d, which fails at q = 13, 25, 49; there the smallest
+# order above 2 dividing d is used
+@pytest.mark.parametrize(
+    "p,k,order", [(11, 1, 4), (19, 1, 4), (13, 1, 7), (5, 2, 13), (7, 2, 5)]
+)
+def test_survey_matches_sum_S_oracle(p, k, order):
+    ctx = make_field(p, k)
+    q, d = ctx.q, ctx.d
+    t = ExponentTuple.w_type(d, d // order)
+    values = {c: sum_S(ctx, c, t).value for c in ctx.fq_elements()}
+    hits = [c for c in ctx.fq_elements() if values[c] == 2 * q]
+    misses = [c for c in ctx.fq_elements() if values[c] == -2 * q]
+    assert survey_N(ctx, order) == (len(hits), hits, misses)
 
 
 def test_survey_rejects_bad_order():

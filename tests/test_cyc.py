@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fermatlines.cyc import (
     CycElt,
+    _poly_divmod_exact,
     accumulate,
     cyclotomic_poly,
     equals_integer,
@@ -107,6 +108,29 @@ def test_counts_reduce_via_canon():
     assert s == CycElt.from_int(4, -1)
     # zeta_8^4 = -1 likewise
     assert CycElt.root_of_unity(8, 4) == CycElt.from_int(8, -1)
+
+
+@pytest.mark.parametrize("d", [6, 12, 200, 252])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_canon_matches_polynomial_division(d, data):
+    # entries past 2^63 force the Python-int product instead of int64
+    entry = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
+    counts = data.draw(st.lists(entry, min_size=d, max_size=d), label="counts")
+    _, rem = _poly_divmod_exact(counts, cyclotomic_poly(d))
+    phi = len(cyclotomic_poly(d)) - 1
+    assert CycElt(d, counts).canon == tuple(rem + [0] * (phi - len(rem)))
+
+
+@pytest.mark.parametrize("big", [2**62 - 1, 2**62, 2**63, 2**64])
+def test_canon_exact_at_the_int64_boundary(big):
+    # max |R_12| = 1, so sum |counts| = 2 big < 2^63 takes the int64 product
+    # only for the first size, and the Python-int product for the others
+    counts = [0] * 12
+    counts[11] = big
+    counts[6] = -big
+    _, rem = _poly_divmod_exact(counts, cyclotomic_poly(12))
+    assert CycElt(12, counts).canon == tuple(rem + [0] * (4 - len(rem)))
 
 
 def test_mixed_orders_rejected():

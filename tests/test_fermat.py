@@ -2,6 +2,7 @@
 brute-force geometric oracle, the two inner-product routes against each
 other, and the counting lemmas against their formula values."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,8 @@ from fermatlines.fermat import (
     w_tuples,
 )
 from fermatlines.gf import NonRationalError, find_ab_pairs, frobenius, in_mu_d, make_field
+
+fermat_mod = importlib.import_module("fermatlines.fermat")
 
 
 def mu_d_elements(ctx):
@@ -280,6 +283,26 @@ def test_self_pairing_constant():
     ctx = make_field(7)
     L = line_for_thm1(ctx)
     assert direct_numerator(ctx, L, ExponentTuple.trivial(8)).as_integer == 64
+
+
+def test_direct_numerator_builds_I_L_once_per_line(monkeypatch):
+    ctx = make_field(7)
+    builds = []
+
+    def counting(ctx, L):
+        builds.append(L)
+        return build_intersections(ctx, L)
+
+    monkeypatch.setattr(fermat_mod, "build_intersections", counting)
+    fermat_mod._intersections_of.cache_clear()
+    first, second = (Line(ctx, a, b) for a, b in find_ab_pairs(ctx)[:2])
+    for L in (first, second, first):
+        iset = build_intersections(ctx, L)
+        for t in w_tuples(ctx.d):
+            assert direct_numerator(ctx, L, t) == iset.lambda_inv_sum(t) + (2 - ctx.d)
+    # one build per run of tuples on a line; only the last line is kept
+    assert builds == [first, second, first]
+    fermat_mod._intersections_of.cache_clear()
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
