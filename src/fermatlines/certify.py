@@ -28,8 +28,9 @@ the counts vector of (i, i, i, -3i).  The mod-3, Galois-transfer and
 line-count checks run on those values.
 
 ``certify_general`` scans every tuple against every admissible c with no
-Galois transfer, with ``sum_S`` for every sum; it is the brute-force oracle
-the tests compare against.
+Galois transfer, computing every sum by the F_{q^2} sweep
+``_sweep_counts``; it is the brute-force oracle the tests compare against
+and shares no sum route with ``certify``.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from .charsum import (
     ExponentTuple,
     _PlaneSweep,
     _pushforward,
+    _sweep_counts,
     admissible_values,
     is_one_mod_3,
-    sum_S,
 )
 from .cyc import CycElt
 from .fermat import line_for_thm1, w_tuples
@@ -222,9 +223,10 @@ def certify_general(ctx: FieldCtx) -> Certificate:
     for t in w_tuples(d)[1:]:
         entry = CoverageEntry(t, None, None, False)
         for c in admissible:
-            rec = sum_S(ctx, c, t)
-            if rec.value != two_q:
-                entry = CoverageEntry(t, c, rec.value, True)
+            counts = _sweep_counts(ctx, [(t.i0, 0), (t.i1, 1), (t.i2, c.code)])
+            s = CycElt(d, counts.tolist())
+            if s != two_q:
+                entry = CoverageEntry(t, c, s, True)
                 break
         coverage[t] = entry
     return _assemble(ctx, coverage)

@@ -12,13 +12,11 @@ character value nor a vanishing condition.
 Two exact integer routes give the counts vector of S_c, the multiset of
 character exponents, as an element of Z[zeta_d]:
 
-- ``sum_S`` (through ``_sweep_counts``) sweeps all q^2 codes of F_{q^2}:
-  per-code exponent tables for x, x+1, x+c are combined mod d and bucketed
-  with bincount.  It is the reference route, used for single sums.
-- ``_PlaneSweep`` sweeps the F_q-plane, for scans over c.  chi is trivial
-  on F_q*, so x in F_q contributes 1 unless a present factor vanishes, and
-  every other x is lambda(u + beta) for one lambda in F_q*, u in F_q, with
-  beta = ctx.gen fixed outside F_q.  Pulling lambda = 1/v out of each factor,
+- ``_PlaneSweep`` sweeps the F_q-plane and is the one runtime route.  chi
+  is trivial on F_q*, so x in F_q contributes 1 unless a present factor
+  vanishes, and every other x is lambda(u + beta) for one lambda in F_q*,
+  u in F_q, with beta = ctx.gen fixed outside F_q.  Pulling lambda = 1/v
+  out of each factor,
 
       S_c = N0 + sum over v in F_q*, u in F_q of
                  zeta_d^(i0 psi(u) + i1 psi(u+v) + i2 psi(u+cv)),
@@ -26,8 +24,12 @@ character exponents, as an element of Z[zeta_d]:
   where psi(s) = e(s + beta) and N0 counts the x in F_q at which no present
   factor vanishes (none vanishes on the plane).  One q x q table of psi
   covers every c, so a sum costs q^2 - q table lookups and no F_{q^2}
-  addition.  ``survey_N``, ``quadratic_identity_check``, ``sum_over_c``
-  and ``certify`` use this route; tests compare it with ``sum_S``.
+  addition.  ``sum_S``, ``survey_N``, ``quadratic_identity_check``,
+  ``sum_over_c``, ``mod3_test`` and ``certify`` all use this route.
+- ``_sweep_counts`` sweeps all q^2 codes of F_{q^2}: per-code exponent
+  tables for x, x+1, x+c are combined mod d and bucketed with bincount.
+  It is the independent reference, used only by ``certify_general`` and
+  the tests.
 
 No floating point exists anywhere in this module.
 
@@ -157,6 +159,8 @@ def _sweep_counts(ctx: FieldCtx, factors) -> np.ndarray:
     """
     d = ctx.d
     n2 = ctx.q * ctx.q
+    e_tab = ctx.dlog % d  # e(x) = dlog(x) mod d, with -1 marking x = 0
+    e_tab[0] = -1
     tot = np.zeros(n2, dtype=np.int64)
     valid = np.ones(n2, dtype=bool)
     any_factor = False
@@ -165,12 +169,7 @@ def _sweep_counts(ctx: FieldCtx, factors) -> np.ndarray:
         if e == 0:
             continue
         any_factor = True
-        if shift == 0:
-            tab = ctx.chi_exp_table()
-        elif shift == 1:
-            tab = ctx.chi_exp_table_shift1()
-        else:
-            tab = ctx.chi_exp_table()[ctx.add_perm(shift)]
+        tab = e_tab if shift == 0 else e_tab[ctx.add_perm(shift)]
         valid &= tab >= 0
         tot += e * tab
     if not any_factor:
@@ -254,7 +253,8 @@ def _pushforward(counts: np.ndarray, i: int) -> np.ndarray:
 
 
 def sum_S(ctx: FieldCtx, c: FqElem, t: ExponentTuple) -> SumRecord:
-    """S_{c, t} = sum over x in F_{q^2} of chi(x^i0 (x+1)^i1 (x+c)^i2).
+    """S_{c, t} = sum over x in F_{q^2} of chi(x^i0 (x+1)^i1 (x+c)^i2),
+    read off the F_q-plane.
 
     c must lie in the subfield F_q; t must belong to the same d = q+1.
     Degenerate c (0 and 1) are allowed — those are the Jacobi-sum cases.
@@ -265,7 +265,7 @@ def sum_S(ctx: FieldCtx, c: FqElem, t: ExponentTuple) -> SumRecord:
         raise ValueError("c must lie in the subfield F_q")
     if t.d != ctx.d:
         raise ValueError(f"tuple has d = {t.d}, field context has d = {ctx.d}")
-    counts = _sweep_counts(ctx, [(t.i0, 0), (t.i1, 1), (t.i2, c.code)])
+    counts = _PlaneSweep(ctx, t.i0, t.i1, t.i2).counts(c)
     value = CycElt(ctx.d, counts.tolist())
     return SumRecord(c=c, tuple=t, value=value, as_integer=value.as_integer)
 

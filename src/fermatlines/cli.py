@@ -17,8 +17,6 @@ or descent failed); 2 usage error (bad arguments or violated precondition).
 
 Field elements are entered as plain integers (prime subfield) or as
 comma-separated coordinate vectors ``c0,c1,...`` of length 2k over F_p.
-``--threads``/``FERMATLINES_THREADS`` are accepted for interface stability;
-execution is single-threaded (the sweeps are table-driven and fast).
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .certify import certify, expected_rank
@@ -104,22 +101,6 @@ def _parse_tuple(ctx: FieldCtx, text: str) -> ExponentTuple:
     except ValueError:
         raise ValueError("--tuple entries must be integers") from None
     return ExponentTuple(ctx.d, i0, i1, i2, i3)
-
-
-def _resolve_threads(args) -> int:
-    env = os.environ.get("FERMATLINES_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError("FERMATLINES_THREADS must be an integer") from None
-    elif args.threads is not None:
-        n = args.threads
-    else:
-        n = 1
-    if n < 1:
-        raise ValueError("thread count must be at least 1")
-    return n
 
 
 def _require_extended(args, what: str, q: int) -> None:
@@ -345,12 +326,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         action="store_true",
         help="confirm sweeps with q > 50 (minutes-scale in the worst case)",
     )
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker count; FERMATLINES_THREADS overrides (accepted, single-threaded)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,7 +371,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
     try:
-        _resolve_threads(args)
         if args.command == "rank":
             return cmd_rank(args)
         ctx = make_field(args.p, args.k)

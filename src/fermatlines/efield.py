@@ -119,9 +119,6 @@ class Poly:
     def lead_code(self) -> int:
         return self.codes[-1] if self.codes else 0
 
-    def coeff_elems(self):
-        return [self.ctx.elem(c) for c in self.codes]
-
     def _check(self, other: "Poly"):
         if not isinstance(other, Poly) or other.ctx is not self.ctx:
             raise ValueError("polynomials over different fields")

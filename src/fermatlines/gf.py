@@ -228,9 +228,10 @@ def prime_power(n: int) -> tuple[int, int] | None:
 class FieldCtx:
     """Immutable context for F_{q^2} = F_p[w]/(modulus), q = p^k, d = q + 1.
 
-    Construct with make_field; direct instantiation is internal.  All
-    arrays are frozen after construction, so a context may be shared
-    freely across threads and processes.
+    Construct with make_field; direct instantiation is internal.  It holds
+    only what make_field builds, and nothing is assigned after __init__:
+    the arrays are frozen, so a context may be shared freely across threads
+    and processes.
     """
 
     __slots__ = (
@@ -244,9 +245,6 @@ class FieldCtx:
         "exp",
         "dlog",
         "_pows",
-        "_digits",
-        "_e_tab",
-        "_e1_tab",
     )
 
     def __init__(self, p, k, modulus, g_code, exp, dlog):
@@ -260,9 +258,7 @@ class FieldCtx:
         self.exp = exp
         self.dlog = dlog
         self._pows = np.array([p**i for i in range(self.deg)], dtype=np.int64)
-        self._digits = None
-        self._e_tab = None
-        self._e1_tab = None
+        self._pows.flags.writeable = False
 
     # -- element constructors ------------------------------------------------
 
@@ -357,40 +353,18 @@ class FieldCtx:
 
     # -- vectorized sweep support -------------------------------------------
 
-    def digit_matrix(self) -> np.ndarray:
-        """Base-p digit decomposition of every code, shape (q^2, 2k)."""
-        if self._digits is None:
-            codes = np.arange(self.q * self.q, dtype=np.int64)
-            digits = np.empty((self.q * self.q, self.deg), dtype=np.int16)
-            for i in range(self.deg):
-                digits[:, i] = (codes // self._pows[i]) % self.p
-            digits.flags.writeable = False
-            self._digits = digits
-        return self._digits
-
     def add_perm(self, c_code: int) -> np.ndarray:
-        """Permutation array P with P[x] = code of (x + c), for all codes x."""
-        digits = self.digit_matrix()
-        c_dig = np.array(self.decode(c_code), dtype=np.int64)
-        shifted = (digits.astype(np.int64) + c_dig) % self.p
-        return shifted @ self._pows
+        """Permutation array P with P[x] = code of (x + c), for all codes x.
 
-    def chi_exp_table(self) -> np.ndarray:
-        """e(x) = dlog(x) mod d indexed by code, with -1 marking x = 0."""
-        if self._e_tab is None:
-            e = self.dlog % self.d
-            e[0] = -1
-            e.flags.writeable = False
-            self._e_tab = e
-        return self._e_tab
-
-    def chi_exp_table_shift1(self) -> np.ndarray:
-        """e(x + 1) indexed by code (cached; used by every c-sweep)."""
-        if self._e1_tab is None:
-            e1 = self.chi_exp_table()[self.add_perm(1)]
-            e1.flags.writeable = False
-            self._e1_tab = e1
-        return self._e1_tab
+        Only the F_{q^2} reference sweep of ``charsum`` uses it.  The base-p
+        digits of every code are recomputed on each call; nothing is cached.
+        """
+        codes = np.arange(self.q * self.q, dtype=np.int64)
+        shifted = np.zeros_like(codes)
+        for i, c_dig in enumerate(self.decode(c_code)):
+            unit = self._pows[i]
+            shifted += (codes // unit + c_dig) % self.p * unit
+        return shifted
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, k={self.k}, q={self.q})"

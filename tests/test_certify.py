@@ -282,31 +282,32 @@ def test_certify_agrees_with_general_q7_mod_12(q):
 
 
 def _count_histograms(monkeypatch):
-    """Record the c of every plane histogram; sum_S calls are recorded at
-    both binding sites (certify and charsum)."""
-    histograms, sums = [], []
+    """Record the c of every plane histogram; calls of the F_{q^2} reference
+    sweep are recorded at both binding sites (certify and charsum)."""
+    histograms, sweeps = [], []
     plane_counts = charsum_mod._PlaneSweep.counts
+    sweep_counts = charsum_mod._sweep_counts
 
     def counting_histogram(self, c):
         histograms.append(c)
         return plane_counts(self, c)
 
-    def counting_sum(ctx, c, t):
-        sums.append(t)
-        return sum_S(ctx, c, t)
+    def counting_sweep(ctx, factors):
+        sweeps.append(factors)
+        return sweep_counts(ctx, factors)
 
     monkeypatch.setattr(charsum_mod._PlaneSweep, "counts", counting_histogram)
     for mod in (certify_mod, charsum_mod):
-        monkeypatch.setattr(mod, "sum_S", counting_sum)
-    return histograms, sums
+        monkeypatch.setattr(mod, "_sweep_counts", counting_sweep)
+    return histograms, sweeps
 
 
 def test_certify_sweeps_once_for_the_single_line_q19(monkeypatch):
-    histograms, sums = _count_histograms(monkeypatch)
+    histograms, sweeps = _count_histograms(monkeypatch)
     F = field(19)
     cert = certify(F)
     assert cert.verdict == FULL_RANK_CERTIFIED
-    assert sums == []
+    assert sweeps == []
     assert histograms == [line_for_thm1(F).c]
 
 
@@ -321,9 +322,9 @@ def test_certify_sweeps_once_per_candidate_tried(monkeypatch, q):
     for orbit in galois_orbits(F.d):
         entry = general.coverage[ExponentTuple.w_type(F.d, orbit[0])]
         tried = max(tried, admissible.index(entry.c) + 1 if entry.nonzero else len(admissible))
-    histograms, sums = _count_histograms(monkeypatch)
+    histograms, sweeps = _count_histograms(monkeypatch)
     certify(F)
-    assert sums == []
+    assert sweeps == []
     assert histograms == admissible[:tried]
 
 

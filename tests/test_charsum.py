@@ -1,14 +1,18 @@
 """Character-sum engine tests.
 
-The vectorized sweep is checked against a completely independent
-element-by-element loop, and the F_q-plane sweep against the F_{q^2}
-sweep (and survey_N against sum_S); the closed forms (Jacobi degenerations, the
+sum_S, which reads the F_q-plane, is checked against a completely
+independent element-by-element loop, and the plane sweep (and survey_N)
+against the F_{q^2} sweep _sweep_counts, the reference route that no
+runtime caller uses; sum_S, the CLI charsum, charsum_numerator and
+mod3_test are shown never to enter that sweep, and no computation to
+assign to a FieldCtx.  The closed forms (Jacobi degenerations, the
 sum-over-c identity, the quadratic identity) are checked against their
 formula values; orbits, admissibility, the extremal survey, and the mod-3
 obstruction are checked against brute force and known small-field data.
 """
 
 import itertools
+import json
 import random
 
 import numpy as np
@@ -31,8 +35,10 @@ from fermatlines.charsum import (
     sum_over_c,
     survey_N,
 )
+from fermatlines import charsum, cli
 from fermatlines.cyc import CycElt, accumulate, galois_apply, is_real
-from fermatlines.gf import chi_exp, find_ab_pairs, make_field
+from fermatlines.fermat import charsum_numerator, lines_for_c, w_tuples
+from fermatlines.gf import FieldCtx, chi_exp, find_ab_pairs, make_field
 
 
 def naive_sum(ctx, c, t):
@@ -112,6 +118,10 @@ def _reference_counts(ctx, c, i0, i1, i2):
     return _sweep_counts(ctx, [(i0, 0), (i1, 1), (i2, c.code)])
 
 
+def _reference_value(ctx, c, t):
+    return CycElt(ctx.d, _reference_counts(ctx, c, t.i0, t.i1, t.i2).tolist())
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_plane_counts_match_sweep_every_tuple_and_c(p):
     ctx = make_field(p)
@@ -143,6 +153,86 @@ def test_pushforward_gives_every_w_tuple(p):
         for i in range(1, d):
             expected = _reference_counts(ctx, c, i, i, i)
             assert _pushforward(hist, i).tolist() == expected.tolist(), (c.code, i)
+
+
+def _charsum_json(ctx, c, t):
+    argv = ["charsum", "--p", str(ctx.p), "--k", str(ctx.k), "--format", "json"]
+    argv += ["--c", ",".join(map(str, c.coeffs)), "--tuple", ",".join(map(str, t.entries))]
+    return argv
+
+
+def _sixth_roots(ctx):
+    return [c for c in ctx.fq_elements() if not c.is_zero and c.multiplicative_order() == 6]
+
+
+def test_sum_S_never_enters_the_fq2_sweep(monkeypatch, capsys):
+    # every expected value comes from the F_{q^2} reference before it is
+    # made to raise
+    cases = [
+        (7, 1, [(1, 1, 1, 5), (1, 2, 3, 2), (0, 3, 0, 5)]),
+        (5, 2, [(1, 1, 1, 23)]),
+    ]
+    charsum_json = []
+    for p, k, tuples in cases:
+        ctx = make_field(p, k)
+        for entries in tuples:
+            t = ExponentTuple(ctx.d, *entries)
+            for c in ctx.fq_elements():
+                value = _reference_value(ctx, c, t)
+                record = charsum.SumRecord(c, t, value, value.as_integer)
+                expected = {"schema": 1, **record.to_json_dict()}
+                charsum_json.append((_charsum_json(ctx, c, t), expected))
+    ctx7 = make_field(7)
+    lines = [L for c in admissible_values(ctx7) for L in lines_for_c(ctx7, c)]
+    numerators = [
+        (L, t, _reference_value(ctx7, L.c, t) + (-2 * ctx7.q))
+        for L in lines
+        for t in w_tuples(ctx7.d)[1:]
+    ]
+    ctx19 = make_field(19)
+    mod3 = [
+        (c, t, charsum.is_one_mod_3(_reference_value(ctx19, c, t)))
+        for c in _sixth_roots(ctx19)
+        for t in w_tuples(ctx19.d)[1:]
+    ]
+
+    def forbidden(*args):
+        raise AssertionError("the F_{q^2} sweep was entered")
+
+    monkeypatch.setattr(FieldCtx, "add_perm", forbidden)
+    monkeypatch.setattr(charsum, "_sweep_counts", forbidden)
+    for argv, expected in charsum_json:
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == expected, argv
+    assert len(lines) == 8
+    for L, t, expected in numerators:
+        assert charsum_numerator(ctx7, L, t) == expected, (L, t)
+    assert len(mod3) == 2 * 19
+    for c, t, expected in mod3:
+        assert mod3_test(ctx19, c, t) is expected, (c.code, t)
+
+
+def test_field_context_is_never_mutated(monkeypatch, capsys):
+    ctx = make_field.__wrapped__(7, 1)  # a fresh context, outside the cache
+    monkeypatch.setattr(cli, "make_field", lambda p, k: ctx)
+    before = {slot: getattr(ctx, slot) for slot in FieldCtx.__slots__}
+    for argv in [
+        ["charsum", "--p", "7", "--c", "3", "--tuple", "1,1,1,5", "--format", "json"],
+        ["survey", "--p", "7", "--order", "4", "--format", "json"],
+        ["certify", "--p", "7", "--format", "json"],
+    ]:
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    lines = [L for c in admissible_values(ctx) for L in lines_for_c(ctx, c)]
+    for L in lines:
+        for t in w_tuples(ctx.d)[1:]:
+            charsum_numerator(ctx, L, t)
+    for c in _sixth_roots(ctx):
+        assert mod3_test(ctx, c, ExponentTuple.w_type(ctx.d, 1))
+    after = {slot: getattr(ctx, slot) for slot in FieldCtx.__slots__}
+    assert all(after[slot] is before[slot] for slot in FieldCtx.__slots__), [
+        slot for slot in FieldCtx.__slots__ if after[slot] is not before[slot]
+    ]
 
 
 def test_sum_S_rejects_bad_inputs():
@@ -401,8 +491,9 @@ def test_survey_order8_bound_only():
     assert 4 * N <= 3 * 7 - 9
 
 
-# order 4 needs 4 | d, which fails at q = 13, 25, 49; there the smallest
-# order above 2 dividing d is used
+# the S_c oracle is the F_{q^2} sweep, since sum_S and survey_N share the
+# plane route; order 4 needs 4 | d, which fails at q = 13, 25, 49, so there
+# the smallest order above 2 dividing d is used
 @pytest.mark.parametrize(
     "p,k,order", [(11, 1, 4), (19, 1, 4), (13, 1, 7), (5, 2, 13), (7, 2, 5)]
 )
@@ -410,7 +501,7 @@ def test_survey_matches_sum_S_oracle(p, k, order):
     ctx = make_field(p, k)
     q, d = ctx.q, ctx.d
     t = ExponentTuple.w_type(d, d // order)
-    values = {c: sum_S(ctx, c, t).value for c in ctx.fq_elements()}
+    values = {c: _reference_value(ctx, c, t) for c in ctx.fq_elements()}
     hits = [c for c in ctx.fq_elements() if values[c] == 2 * q]
     misses = [c for c in ctx.fq_elements() if values[c] == -2 * q]
     assert survey_N(ctx, order) == (len(hits), hits, misses)

@@ -283,28 +283,13 @@ def test_certify_byte_determinism(capsys):
 # ----------------------------------------------------------------------------
 
 
-def test_threads_flag_and_env(capsys, monkeypatch):
-    rc, _ = run(capsys, "rank", "--p", "7", "--threads", "4")
-    assert rc == 0
-    rc, _ = run(capsys, "rank", "--p", "7", "--threads", "0")
-    assert rc == 2
-    monkeypatch.setenv("FERMATLINES_THREADS", "2")
-    rc, _ = run(capsys, "rank", "--p", "7")
-    assert rc == 0
-    monkeypatch.setenv("FERMATLINES_THREADS", "zero")
-    rc, _ = run(capsys, "rank", "--p", "7")
-    assert rc == 2
-    monkeypatch.setenv("FERMATLINES_THREADS", "2")
-    rc, _ = run(capsys, "rank", "--p", "7", "--threads", "0")
-    assert rc == 0  # the environment variable takes precedence
-
-
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
 
 
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["rank", "--p", "7", "--bogus"]) == 2
+    assert main(["rank", "--p", "7", "--threads", "4"]) == 2
 
 
 def test_invalid_field_is_usage_error(capsys):
