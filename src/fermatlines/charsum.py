@@ -171,7 +171,7 @@ def _sweep_counts(ctx: FieldCtx, factors) -> np.ndarray:
         any_factor = True
         tab = e_tab if shift == 0 else e_tab[ctx.add_perm(shift)]
         valid &= tab >= 0
-        tot += e * tab
+        tot += e * tab  # e, tab < d, so the int32 product stays below d^2 <= 4M
     if not any_factor:
         # chi(1) summed over the whole field
         counts = np.zeros(d, dtype=np.int64)
@@ -194,9 +194,8 @@ class _PlaneSweep:
     holds every psi value a sweep reads: psi(u) = P[u, 0], psi(u + v) =
     P[u, v], psi(u + cv) = P[u, idx(cv)].  An instance keeps two int32 q x q
     tables derived from P, 8q^2 bytes (0.94 MB at q = 343, 32 MB at
-    q = 1999); building them takes a few transient q x q arrays of up to 8
-    bytes an entry.  Callers build one per call; nothing is stored on the
-    FieldCtx.
+    q = 1999); building them takes a few transient int32 q x q arrays.
+    Callers build one per call; nothing is stored on the FieldCtx.
     """
 
     def __init__(self, ctx: FieldCtx, i0: int, i1: int, i2: int):
@@ -210,12 +209,12 @@ class _PlaneSweep:
         plane = np.zeros((q, q), dtype=np.int32)  # codes of s_a + s_b + beta
         for j, unit in enumerate(units):
             plane += (digits[:, None, j] + digits[None, :, j] + beta[j]) % p * unit
-        P = ctx.dlog[plane]
+        P = ctx.dlog[plane]  # int32 gather: dlog values are below q^2 <= 4M
         del plane  # freed before the two q x q tables below
         P %= d
-        P = P.astype(np.int32)
         self.q, self.d = q, d
-        # exponent of x^i0 (x+1)^i1 at (u, v), and i2 * P for the gather
+        # exponent of x^i0 (x+1)^i1 at (u, v), and i2 * P for the gather;
+        # i0, i1, i2 and P are below d, so both stay below 2d^2 in int32
         self._head = (i0 * P[:, :1] + i1 * P[:, 1:]) % d
         self._tail = i2 * P % d
         self._cycle = np.arange(q - 1)

@@ -15,6 +15,12 @@ multiplicative order is q^2 - 1) and two tables are built once per field:
     exp[m]  = code of g^m            for 0 <= m < q^2 - 1
     dlog[x] = m with g^m = x, or -1  for codes x (dlog[0] = -1)
 
+Both are read-only int32 arrays (q^2 <= SIZE_CAP = 4M fits).  exp is built
+in numpy blocks: multiplication by g is a 2k x 2k matrix A over F_p, so one
+matrix product advances a whole block of digit vectors at a time (see
+_build_tables), and dlog is filled by scatter.  The modulus scan skips the
+candidates with constant term 0, which are all divisible by w.
+
 In this encoding the subgroups in play are transparent: x = g^m lies in
 the middle field F_q iff d | m, and x lies in mu_d (the d-th roots of
 unity) iff (q-1) | m, since mu_d is generated by g_d := g^(q-1).
@@ -84,6 +90,15 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def _code_digits(code: int, p: int, n: int) -> list[int]:
+    """The n base-p digits of code, low first."""
+    out = []
+    for _ in range(n):
+        out.append(code % p)
+        code //= p
+    return out
 
 
 def _pp_trim(c: list[int]) -> tuple[int, ...]:
@@ -178,15 +193,12 @@ def _lex_smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Non-leading coefficients of the lex-least monic irreducible of degree n.
 
     Candidates are ordered by the tuple (c_0, c_1, ..., c_{n-1}) of
-    non-leading coefficients, compared left to right.
+    non-leading coefficients, compared left to right.  The scan starts at
+    c_0 = 1: for n >= 2 a monic f with f(0) = 0 is divisible by x, so the
+    skipped codes are exactly the reducible candidates with c_0 = 0.
     """
-    for code in range(p**n):
-        digits = []
-        rest = code
-        for _ in range(n):
-            digits.append(rest % p)
-            rest //= p
-        digits.reverse()  # code counts up in (c_0, ..., c_{n-1}) lex order
+    for code in range(p ** (n - 1), p**n):
+        digits = _code_digits(code, p, n)[::-1]  # code counts up in lex order
         if _pp_is_irreducible(digits, p):
             return tuple(digits)
     raise ContradictionError("no irreducible polynomial found (impossible)")
@@ -537,13 +549,64 @@ class FqElem:
 # ----------------------------------------------------------------------------
 
 
+# Rows per block of the exp build.  A power of two, so that the doubling in
+# _build_tables ends on A^_BLOCK whenever a second block is needed.
+_BLOCK = 1 << 12
+
+
+def _build_tables(p, n, modulus, g_code):
+    """The int32 tables exp and dlog of the generator g, built in blocks.
+
+    A is the n x n matrix over F_p of multiplication by g: row i holds the
+    digits of w^i * g, so a row vector of digits times A is the digits of
+    x * g.  The first block of B powers g^0..g^(B-1) comes by doubling,
+    each later one as V <- V A^B mod p; codes are V @ (p^0, ..., p^(n-1)).
+    """
+    A = np.zeros((n, n), dtype=np.int64)
+    row = _pp_trim(_code_digits(g_code, p, n))
+    for i in range(n):
+        A[i, : len(row)] = row
+        row = _pp_mulmod(row, (0, 1), modulus, p)
+    pows = np.array([p**i for i in range(n)], dtype=np.int64)
+
+    order = p**n - 1
+    B = min(_BLOCK, order)
+    V = np.zeros((B, n), dtype=np.int64)
+    V[0, 0] = 1
+    step, filled = A, 1
+    while filled < B:
+        take = min(filled, B - filled)
+        V[filled : filled + take] = V[:take] @ step % p
+        step, filled = step @ step % p, filled + take
+
+    exp = np.empty(order, dtype=np.int32)
+    dlog = np.full(p**n, -1, dtype=np.int32)
+    for start in range(0, order, B):
+        if start:
+            V = V @ step % p
+        size = min(B, order - start)
+        codes = V[:size] @ pows
+        exp[start : start + size] = codes
+        dlog[codes] = np.arange(start, start + size, dtype=np.int32)
+    if not np.array_equal(V[size - 1] @ A % p, np.eye(n, dtype=np.int64)[0]):
+        raise ContradictionError("generator order mismatch while building tables")
+    if np.count_nonzero(dlog == -1) != 1:
+        raise ContradictionError("exp is not a bijection onto the nonzero codes")
+    return exp, dlog
+
+
 @lru_cache(maxsize=None)
 def make_field(p: int, k: int = 1) -> FieldCtx:
     """Deterministically build the tower context for q = p^k.
 
     The same (p, k) always produces bit-identical tables: the modulus is
     the lex-least monic irreducible of degree 2k and the generator is the
-    smallest-code element of full order q^2 - 1.
+    smallest-code element of full order q^2 - 1.  The modulus scan starts
+    at constant term 1, since every candidate with constant term 0 is
+    divisible by w.  exp and dlog are int32, built block by block with the
+    matrix of multiplication by g (_build_tables); the build checks that
+    g^(q^2-1) = 1 and that dlog has exactly one -1, so exp hits every
+    nonzero code once.
     """
     if not isinstance(p, int) or not isinstance(k, int):
         raise ValueError("p and k must be integers")
@@ -563,36 +626,16 @@ def make_field(p: int, k: int = 1) -> FieldCtx:
     order = q * q - 1
     cofactors = [order // r for r in _prime_factors(order)]
 
-    def poly_of_code(code):
-        out = []
-        for _ in range(n):
-            out.append(code % p)
-            code //= p
-        return _pp_trim(out)
-
     g_code = None
     for code in range(2, q * q):
-        cand = poly_of_code(code)
+        cand = _pp_trim(_code_digits(code, p, n))
         if all(_pp_powmod(cand, cf, modulus, p) != (1,) for cf in cofactors):
             g_code = code
             break
     if g_code is None:
         raise ContradictionError("no generator found (impossible for a field)")
 
-    exp = np.zeros(order, dtype=np.int64)
-    dlog = np.full(q * q, -1, dtype=np.int64)
-    g_poly = poly_of_code(g_code)
-    cur = (1,)
-    pows = [p**i for i in range(n)]
-    for m in range(order):
-        code = 0
-        for i, c in enumerate(cur):
-            code += c * pows[i]
-        exp[m] = code
-        dlog[code] = m
-        cur = _pp_mulmod(cur, g_poly, modulus, p)
-    if cur != (1,):
-        raise ContradictionError("generator order mismatch while building tables")
+    exp, dlog = _build_tables(p, n, modulus, g_code)
     exp.flags.writeable = False
     dlog.flags.writeable = False
     return FieldCtx(p, k, modulus, g_code, exp, dlog)

@@ -143,6 +143,16 @@ def test_plane_counts_match_sweep_sampled(p, k, data):
     assert counts.tolist() == _reference_counts(ctx, c, i0, i1, i2).tolist()
 
 
+@pytest.mark.extended
+def test_plane_counts_match_sweep_at_the_size_cap():
+    # q = 1999: int32 tables, and sums of table products up to 2 d^2 ~ 8M
+    ctx = make_field(1999)
+    assert ctx.exp.dtype == ctx.dlog.dtype == np.int32
+    c = admissible_values(ctx)[0]
+    counts = _PlaneSweep(ctx, 1, 1, 1).counts(c)
+    assert counts.tolist() == _reference_counts(ctx, c, 1, 1, 1).tolist()
+
+
 @pytest.mark.parametrize("p", [7, 13])
 def test_pushforward_gives_every_w_tuple(p):
     ctx = make_field(p)

@@ -139,6 +139,15 @@ def test_survey_large_field_needs_extended(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("certify", "--p", "2003"), ("survey", "--p", "7", "--k", "4", "--order", "4")],
+)
+def test_fields_over_the_size_cap_are_usage_errors(capsys, argv):
+    assert main(list(argv)) == 2
+    assert "exceeds the size cap 4000000" in capsys.readouterr().err
+
+
 @pytest.mark.extended
 def test_survey_q343_extended(capsys):
     doc = run_json(

@@ -6,16 +6,22 @@ by exhaustive root/factor scan, order checks by repeated multiplication,
 and pair searches by brute force over integer residues.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermatlines import gf
 from fermatlines.gf import (
     ContradictionError,
     FqElem,
+    _build_tables,
+    _lex_smallest_irreducible,
     _pp_is_irreducible,
+    _pp_mulmod,
     chi_exp,
     find_ab_pairs,
     frobenius,
@@ -92,6 +98,25 @@ def test_irreducibility_helper_agrees_with_root_scan(p, k):
             assert _pp_is_irreducible([c0, c1], p) == naive_irreducible_deg2(c0, c1, p)
 
 
+def _scan_from_zero(p, n):
+    """The lex-least monic irreducible by a scan over every code from 0."""
+    for code in range(p**n):
+        digits = [code // p ** (n - 1 - i) % p for i in range(n)]
+        if _pp_is_irreducible(digits, p):
+            return tuple(digits)
+    return None
+
+
+@pytest.mark.parametrize(
+    "p,n",
+    [(p, n) for p in (5, 7, 11, 13) for n in (2, 4)]
+    + [(5, 6), pytest.param(7, 6, marks=pytest.mark.extended)],
+)
+def test_pruned_modulus_scan_matches_scan_from_zero(p, n):
+    # the scan skips constant term 0; the lex-least irreducible is unchanged
+    assert _lex_smallest_irreducible(p, n) == _scan_from_zero(p, n)
+
+
 def test_prime_power_matches_sympy():
     for n in range(-3, 2000):
         factors = sympy.factorint(n) if n >= 2 else {}
@@ -156,6 +181,95 @@ def test_make_field_rejects_bad_input():
 
 def test_make_field_is_cached():
     assert make_field(7, 1) is make_field(7, 1)
+
+
+# sha256 of exp and dlog (as little-endian int64) from the sequential
+# one-multiplication-per-element build, which the block build must match.
+TABLE_PINS = {
+    (7, 3): (
+        (1, 0, 0, 0, 1, 0),
+        8,
+        "60afb7330ae79f471b77b3a250ba412faae3559a6d272462d21ef108715d5c75",
+        "de73094b68fc3cc1c1d86ff4f63c3b36dc0be5d1b9936ac2410cd0f00729d81f",
+    ),
+    (5, 4): (
+        (1, 0, 0, 0, 0, 1, 1, 0),
+        6,
+        "2662421036df1e4a23eba6866f2c80846cac5d5a99bdaa4af71fb41305a0cfe5",
+        "753dbea23546142e2ebb76f9d076b49ad912fc43c73659feca54360fef696877",
+    ),
+    (251, 1): (
+        (1, 0),
+        256,
+        "f05605819d5fd49618e10ca815a29e984b163d77802cceffcbc9236858e9b60a",
+        "b6422983cd064979ce78848f4a3bf6d7346590869812d16fb270a6f8c7783569",
+    ),
+    (11, 3): (
+        (1, 0, 0, 0, 1, 1),
+        15,
+        "b6fa55f2b15bfb9fdc1fc76beb4654418663c4e48233e1f12e46bee72c8fdb09",
+        "a0cd3c2fb810290d0af704e36c2af717abaa855b606abdc998f2dfdcd4fdfbe9",
+    ),
+    (1999, 1): (
+        (1, 0),
+        2003,
+        "406bdb3e2a06e0596b95e458c787f1c41d000ed91979c0c30ad2c474994020b5",
+        "3eb6e7cadec31b1ac602f79d1a7249b7b7f42313280397eb633e691fe509e37a",
+    ),
+}
+
+
+def _digest(table):
+    return hashlib.sha256(table.astype("<i8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "p,k",
+    [(7, 3), (5, 4), (251, 1)]
+    + [pytest.param(*pk, marks=pytest.mark.extended) for pk in [(11, 3), (1999, 1)]],
+)
+def test_tables_match_pins(p, k):
+    ctx = make_field(p, k)
+    assert ctx.exp.dtype == ctx.dlog.dtype == np.int32
+    assert (ctx.modulus, ctx.g_code, _digest(ctx.exp), _digest(ctx.dlog)) == TABLE_PINS[p, k]
+
+
+def _sequential_tables(ctx):
+    """exp and dlog by one _pp_mulmod per element: the reference build."""
+    p, n, order = ctx.p, ctx.deg, ctx.q * ctx.q - 1
+    g_poly = ctx.decode(ctx.g_code)
+    exp = np.zeros(order, dtype=np.int64)
+    dlog = np.full(ctx.q * ctx.q, -1, dtype=np.int64)
+    cur = (1,)
+    for m in range(order):
+        code = sum(c * p**i for i, c in enumerate(cur))
+        exp[m] = code
+        dlog[code] = m
+        cur = _pp_mulmod(cur, g_poly, ctx.modulus, p)
+    assert cur == (1,)
+    return exp, dlog
+
+
+# Group orders 24, 48, 624, 2400, 15624, 28560 and 63000: below and above
+# the block size, and (above it) ending in a partial block.
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (5, 2), (7, 2), (5, 3), (13, 2), (251, 1)])
+def test_block_tables_match_sequential_build(p, k):
+    ctx = make_field(p, k)
+    exp, dlog = _sequential_tables(ctx)
+    assert np.array_equal(ctx.exp, exp)
+    assert np.array_equal(ctx.dlog, dlog)
+
+
+@pytest.mark.parametrize("block", [4, 16, 32])
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (5, 2)])
+def test_block_tables_with_small_blocks(monkeypatch, p, k, block):
+    # orders 24, 48 and 624 in up to 156 blocks, with and without a partial
+    # last block
+    ctx = make_field(p, k)
+    monkeypatch.setattr(gf, "_BLOCK", block)
+    exp, dlog = _build_tables(p, ctx.deg, ctx.modulus, ctx.g_code)
+    assert np.array_equal(exp, ctx.exp)
+    assert np.array_equal(dlog, ctx.dlog)
 
 
 # ----------------------------------------------------------------------------
