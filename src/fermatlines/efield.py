@@ -25,6 +25,13 @@ g = x^2 + b*x + c*y + a vanishes at the three conjugates exactly when its
 value at the point is 0 in L1, and its fourth zero P4 gives the sum -P4.
 Only the cubic level L1 is built.
 
+The solve is fraction-free.  m0 is monic with coefficients in F_{q^2}[t], so
+the coordinates reduced modulo m0 are Polys; Cramer's rule keeps the
+numerators over one determinant, and each coordinate of the sum is
+normalised to a canonical RatFunc once, at the end.  The on-curve check of a
+rational point clears denominators and compares Polys, with no gcd, and the
+mu_d translation t -> zeta*t only makes the denominator monic again.
+
 The splitting tower - the quadratic level over L1, the three roots of m0,
 chord-and-tangent addition of the conjugates there, and the descent back
 to K - is kept as the independent route that tests compare against
@@ -169,8 +176,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def divmod(self, other: "Poly"):
@@ -322,6 +330,13 @@ class RatFunc:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _canonical(cls, num: Poly, den: Poly) -> "RatFunc":
+        """Wrap a pair already in canonical form, skipping the gcd."""
+        out = object.__new__(cls)
+        out.ctx, out.num, out.den = num.ctx, num, den
+        return out
+
+    @classmethod
     def from_poly(cls, p: Poly) -> "RatFunc":
         return cls(p, Poly.one(p.ctx))
 
@@ -365,10 +380,7 @@ class RatFunc:
         )
 
     def __neg__(self) -> "RatFunc":
-        out = object.__new__(RatFunc)
-        out.ctx, out.num, out.den = self.ctx, -self.num, self.den
-        # negation preserves canonical form except the numerator sign
-        return out
+        return RatFunc._canonical(-self.num, self.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
@@ -392,7 +404,11 @@ class RatFunc:
         return RatFunc(self.num**e, self.den**e)
 
     def subst_scale(self, zeta: FqElem) -> "RatFunc":
-        return RatFunc(self.num.subst_scale(zeta), self.den.subst_scale(zeta))
+        """t -> zeta*t is a ring automorphism of F_{q^2}[t], so it keeps
+        gcd(num, den) = 1; only the denominator has to be made monic again."""
+        num, den = self.num.subst_scale(zeta), self.den.subst_scale(zeta)
+        lead_inv = self.ctx.elem(den.lead_code).inverse()
+        return RatFunc._canonical(num.scale(lead_inv), den.scale(lead_inv))
 
     # -- comparison / rendering --------------------------------------------
 
@@ -770,6 +786,10 @@ class QuadExt:
 # ---------------------------------------------------------------------------
 
 
+def _t_pow_d(ctx: FieldCtx) -> Poly:
+    return Poly(ctx, (0,) * ctx.d + (1,))
+
+
 class CurvePoint:
     """A point of E : y^2 + x*y - t^d*y = x^3, either INFINITY or (x, y).
 
@@ -806,12 +826,23 @@ class CurvePoint:
         return self.level.ctx
 
     def _td(self):
-        ctx = self.ctx
-        return self.level.embed(RatFunc.from_poly(Poly.variable(ctx) ** ctx.d))
+        return self.level.embed(RatFunc.from_poly(_t_pow_d(self.ctx)))
 
     def on_curve(self) -> bool:
+        """Whether the point satisfies the curve equation.  A rational point
+        x = xn/xd, y = yn/yd is checked with denominators cleared, on Poly:
+            yn*xd^2*(yn*xd + xn*yd - t^d*xd*yd) = xn^3*yd^2."""
         if self.is_infinity:
             return True
+        if not isinstance(self.level, FunctionField):
+            return self._satisfies_equation()
+        xn, xd, yn, yd = self.x.num, self.x.den, self.y.num, self.y.den
+        lhs = yn * (xd * xd) * (yn * xd + xn * yd - _t_pow_d(self.ctx) * (xd * yd))
+        return lhs == xn * xn * xn * (yd * yd)
+
+    def _satisfies_equation(self) -> bool:
+        """y^2 + x*y - t^d*y = x^3 in the arithmetic of the coordinates' own
+        level: the check for tower points, and the oracle for ``on_curve``."""
         x, y = self.x, self.y
         lhs = y * y + x * y - self._td() * y
         return not (lhs - x * x * x)
@@ -1069,24 +1100,49 @@ def splitting_roots(ctx: FieldCtx, L: Line) -> SplittingData:
     return _split_cubic(_build_cubic(ctx, f0, f1, f2))
 
 
+def _m0_polys(cubic: CubicExt):
+    """The coefficients (c0, c1, c2) of m0 as Polys in t; ``_build_cubic``
+    gives each of them denominator 1."""
+    return tuple(c.num for c in cubic.m0[:3])
+
+
+def _reduce_mod_m0(vec, m0):
+    """Reduce a list of Poly coefficients (low degree in s first) modulo the
+    monic m0 = s^3 + c2*s^2 + c1*s + c0; with c0, c1, c2 in F_{q^2}[t] the
+    remainder stays in F_{q^2}[t], so no fraction is ever formed."""
+    c0, c1, c2 = m0
+    vec = list(vec)
+    for i in range(len(vec) - 1, 2, -1):
+        c = vec[i]
+        if not c.is_zero:
+            vec[i - 1] = vec[i - 1] - c * c2
+            vec[i - 2] = vec[i - 2] - c * c1
+            vec[i - 3] = vec[i - 3] - c * c0
+    vec = vec[:3]
+    return tuple(vec) + (Poly.zero(c0.ctx),) * (3 - len(vec))
+
+
 def _coordinate_vectors(ctx: FieldCtx, cubic: CubicExt, f0: Poly, f2: Poly):
     """The curve coordinates x = -f0^d f2^d, y = -f0^{2d} f2^d along the
-    line, reduced modulo m0 to degree-<3 representatives over K."""
+    line, reduced modulo m0 to degree-<3 representatives over F_{q^2}[t]."""
     d = ctx.d
+    m0 = _m0_polys(cubic)
     x_scalar = -((f0 * f2) ** d)
     y_scalar = x_scalar * (f0**d)
+
     def reduce_scalar(p: Poly):
-        vec = [RatFunc.const(ctx, ctx.elem(c)) for c in p.codes]
-        if not vec:
-            vec = [RatFunc.zero(ctx)]
-        return cubic.reduce(vec)
+        return _reduce_mod_m0([Poly(ctx, (c,)) for c in p.codes], m0)
+
     return reduce_scalar(x_scalar), reduce_scalar(y_scalar)
 
 
 def _conjugates(ctx: FieldCtx, f0: Poly, f1: Poly, f2: Poly):
     cubic = _build_cubic(ctx, f0, f1, f2)
     data = _split_cubic(cubic)
-    xvec, yvec = _coordinate_vectors(ctx, cubic, f0, f2)
+    xvec, yvec = (
+        [RatFunc.from_poly(v) for v in vec]
+        for vec in _coordinate_vectors(ctx, cubic, f0, f2)
+    )
     points = tuple(
         CurvePoint(
             data.level,
@@ -1138,11 +1194,18 @@ def point_from_components(ctx: FieldCtx, f0: Poly, f1: Poly, f2: Poly) -> CurveP
     leaves a monic quartic in x with x^3-coefficient 2b - c - c^2, whence
     x4 = c^2 + c - 2b - Tr(xbar).
 
+    Everything is fraction-free over F_{q^2}[t]: Cramer's rule gives
+    b, c, a = B/det, C/det, A/det, so x4 = X/det^2 and y4 = Y/(det^3*C) with
+    X = C^2 + (C - 2B - Tr*det)*det and Y = -(A*det^3 + B*det*X + X^2).  The
+    negation -P4 = (x4, -y4 - x4 + t^d) is also taken on numerators, and
+    each coordinate is brought to canonical form by one RatFunc at the end.
+
     The pipeline is equivariant under the torus scaling (f0, f1, f2) ->
     (t0*f0, t1*f1, t2*f2) with t0*t1*t2 = 1 and each t_i^d = 1: the product
     f0*f1*f2 and the d-th powers in the coordinates are literally unchanged.
     """
     cubic = _build_cubic(ctx, f0, f1, f2)
+    m0 = _m0_polys(cubic)
     xvec, yvec = _coordinate_vectors(ctx, cubic, f0, f2)
     where = (
         f"q = {ctx.q}, components"
@@ -1159,22 +1222,33 @@ def point_from_components(ctx: FieldCtx, f0: Poly, f1: Poly, f2: Poly) -> CurveP
     if det.is_zero:
         # 1, xbar, ybar are K-dependent: the conjugates are collinear.
         return CurvePoint.infinity(FunctionField(ctx))
-    xbar = ExtElt(cubic, xvec)
-    xsq = (xbar * xbar).vec
-    b = (xsq[2] * y1 - xsq[1] * y2) / det
-    c = (xsq[1] * x2 - xsq[2] * x1) / det
-    if c.is_zero:
+    two = ctx.from_int(2)
+    xsq = _reduce_mod_m0(
+        [
+            x0 * x0,
+            (x0 * x1).scale(two),
+            x1 * x1 + (x0 * x2).scale(two),
+            (x1 * x2).scale(two),
+            x2 * x2,
+        ],
+        m0,
+    )
+    B = xsq[2] * y1 - xsq[1] * y2
+    C = xsq[1] * x2 - xsq[2] * x1
+    if C.is_zero:
         raise ContradictionError(
             f"{where}: y-coefficient c = 0, so x satisfies a quadratic over K,"
             " expected c != 0"
         )
-    a = -(xsq[0] + b * x0 + c * y0)
-    _, m1, m2, _ = cubic.m0
-    two, three = RatFunc.const(ctx, 2), RatFunc.const(ctx, 3)
-    trace_x = three * x0 - m2 * x1 + (m2 * m2 - two * m1) * x2
-    x4 = c * c + c - two * b - trace_x
-    y4 = -(a + b * x4 + x4 * x4) / c
-    result = curve_neg(ctx, CurvePoint.rational(ctx, x4, y4))
+    A = -(xsq[0] * det + B * x0 + C * y0)
+    _, m1, m2 = m0
+    trace_x = x0.scale(ctx.from_int(3)) - m2 * x1 + (m2 * m2 - m1.scale(two)) * x2
+    X = C * C + (C - B.scale(two) - trace_x * det) * det
+    det2 = det * det
+    det3 = det2 * det
+    # -y4 - x4 + t^d over the common denominator det^3*C
+    y_num = det3 * (A + _t_pow_d(ctx) * C) + X * (X + (B - C) * det)
+    result = CurvePoint.rational(ctx, RatFunc(X, det2), RatFunc(y_num, det3 * C))
     if not result.on_curve():
         raise ContradictionError(f"{where}: trace point violates the curve equation")
     return result
@@ -1203,5 +1277,7 @@ def mu_d_translate(ctx: FieldCtx, P: CurvePoint, zeta: FqElem) -> CurvePoint:
         return P
     out = CurvePoint(P.level, P.x.subst_scale(zeta), P.y.subst_scale(zeta))
     if not out.on_curve():
-        raise ContradictionError("translate left the curve")
+        raise ContradictionError(
+            f"q = {ctx.q}, zeta with dlog {zeta.dlog}: translate left the curve"
+        )
     return out

@@ -5,6 +5,7 @@ captures stdout; exit codes follow the contract 0 = success, 1 =
 mathematical contradiction, 2 = usage error.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -227,6 +228,34 @@ def test_point_translate_changes_point(capsys):
     )
     assert doc8["translate"] == 0
     assert doc8["point"] == doc0["point"]
+
+
+# sha256 of the point JSON at north-star sizes, recorded from the construction
+# that gcd-normalised every RatFunc step.  The canonical form is unique, so
+# the fraction-free construction has to reproduce these bytes exactly.
+POINT_PINS = [
+    (
+        ("--p", "19", "--thm1"),
+        "2a32e34cd996cf8f3c4869cdf86cc84eedf58bef5569e1c5e178dcc7a48181f8",
+    ),
+    (
+        ("--p", "19", "--thm1", "--translate", "5"),
+        "a4e9e4310b9606efe0f98fa3b333dc67240a475022a00ad075bf28daa7e487f5",
+    ),
+    (
+        ("--p", "31", "--thm1"),
+        "b3535727268483e98fe601547f84ebd441399c103ac8a8d036938263ad0adb0d",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args,digest", POINT_PINS, ids=[" ".join(a) for a, _ in POINT_PINS]
+)
+def test_point_json_matches_pin(capsys, args, digest):
+    rc, out = run(capsys, "point", *args, "--format", "json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_point_usage_errors(capsys):

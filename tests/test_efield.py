@@ -9,6 +9,7 @@ from fermatlines import efield
 from fermatlines.efield import (
     CubicExt,
     CurvePoint,
+    ExtElt,
     FunctionField,
     Poly,
     QuadExt,
@@ -99,6 +100,12 @@ def test_poly_eval_and_pow():
     assert p.eval(x) == CTX7.from_int(10)
     assert (p**3) == p * p * p
     assert p**0 == Poly.one(CTX7)
+    # every exponent up to 2d against repeated multiplication
+    f = Poly(CTX7, [3, 17, 0, 40])
+    acc = Poly.one(CTX7)
+    for e in range(2 * CTX7.d + 1):
+        assert f**e == acc, e
+        acc = acc * f
 
 
 def test_poly_subst_scale():
@@ -157,6 +164,12 @@ def test_ratfunc_subst_scale_is_hom():
     assert (f * g).subst_scale(zeta) == f.subst_scale(zeta) * g.subst_scale(zeta)
     assert (f + g).subst_scale(zeta) == f.subst_scale(zeta) + g.subst_scale(zeta)
     assert f.subst_scale(CTX7.one) == f
+    # no gcd is taken, so the image must already be the normalised pair
+    for j in range(CTX7.d):
+        z = zeta**j
+        for h in (f, g):
+            normalised = RatFunc(h.num.subst_scale(z), h.den.subst_scale(z))
+            assert h.subst_scale(z) == normalised
 
 
 # ----------------------------------------------------------------------------
@@ -327,8 +340,34 @@ def test_construct_point_never_enters_the_tower(monkeypatch):
     assert construct_point(CTX7, line_for_thm1(CTX7)) == printed_point()
 
 
+@pytest.mark.parametrize("p", [5, 7, pytest.param(11, marks=pytest.mark.extended)])
+def test_reduction_mod_m0_matches_cubic_ext(p):
+    """The Poly-level reduction modulo m0 against CubicExt.reduce on RatFunc
+    constants, the route the splitting tower still uses: the coordinate
+    vectors of every line, and the square of xbar (coefficients of positive
+    t-degree) against the product in L1."""
+    ctx = make_field(p)
+    for a, b in find_ab_pairs(ctx):
+        f0, f1, f2 = line_components(ctx, Line(ctx, a, b))
+        cubic = efield._build_cubic(ctx, f0, f1, f2)
+        xvec, yvec = efield._coordinate_vectors(ctx, cubic, f0, f2)
+        x_scalar = -((f0 * f2) ** ctx.d)
+        for vec, scalar in ((xvec, x_scalar), (yvec, x_scalar * f0**ctx.d)):
+            oracle = cubic.reduce(
+                [RatFunc.const(ctx, ctx.elem(c)) for c in scalar.codes]
+            )
+            assert tuple(RatFunc.from_poly(v) for v in vec) == oracle, (a, b)
+        prod = [Poly.zero(ctx)] * 5
+        for i, u in enumerate(xvec):
+            for j, v in enumerate(xvec):
+                prod[i + j] = prod[i + j] + u * v
+        xbar = ExtElt(cubic, [RatFunc.from_poly(v) for v in xvec])
+        reduced = efield._reduce_mod_m0(prod, efield._m0_polys(cubic))
+        assert tuple(RatFunc.from_poly(v) for v in reduced) == (xbar * xbar).vec
+
+
 def test_construct_point_x_in_base_field_is_a_contradiction(monkeypatch):
-    z, one, t = RatFunc.zero(CTX7), RatFunc.one(CTX7), RatFunc.t(CTX7)
+    z, one, t = Poly.zero(CTX7), Poly.one(CTX7), Poly.variable(CTX7)
     monkeypatch.setattr(
         efield, "_coordinate_vectors", lambda *args: ((t, z, z), (z, one, z))
     )
@@ -342,16 +381,38 @@ def test_construct_point_x_in_base_field_is_a_contradiction(monkeypatch):
 def test_construct_point_zero_y_coefficient_is_a_contradiction(monkeypatch):
     # Over the reducible m0 = s^3, xbar = s^2 satisfies xbar^2 = 0, which
     # forces c = 0; over an irreducible m0 no xbar outside K can do that.
-    z, one = RatFunc.zero(CTX7), RatFunc.one(CTX7)
+    z = RatFunc.zero(CTX7)
     monkeypatch.setattr(efield, "_build_cubic", lambda ctx, *f: CubicExt(ctx, z, z, z))
+    pz, pone = Poly.zero(CTX7), Poly.one(CTX7)
     monkeypatch.setattr(
-        efield, "_coordinate_vectors", lambda *args: ((z, z, one), (z, one, z))
+        efield,
+        "_coordinate_vectors",
+        lambda *args: ((pz, pz, pone), (pz, pone, pz)),
     )
     L = line_for_thm1(CTX7)
     with pytest.raises(ContradictionError) as info:
         construct_point(CTX7, L)
     msg = str(info.value)
     assert "q = 7" in msg and f"({L.a}, {L.b})" in msg and "c = 0" in msg
+
+
+def test_construct_point_off_curve_result_is_a_contradiction(monkeypatch):
+    # Shifting ybar by 1 leaves b and c alone and moves the constant a by -c,
+    # so the result comes out as (x, y - 1): off the curve, caught by the
+    # final check.
+    vectors = efield._coordinate_vectors
+
+    def shifted(*args):
+        xvec, (y0, y1, y2) = vectors(*args)
+        return xvec, (y0 + Poly.one(CTX7), y1, y2)
+
+    monkeypatch.setattr(efield, "_coordinate_vectors", shifted)
+    L = line_for_thm1(CTX7)
+    with pytest.raises(ContradictionError) as info:
+        construct_point(CTX7, L)
+    msg = str(info.value)
+    assert "q = 7" in msg and f"({L.a}, {L.b})" in msg
+    assert "trace point violates the curve equation" in msg
 
 
 # ----------------------------------------------------------------------------
@@ -403,6 +464,37 @@ def test_curve_add_level_mismatch():
         curve_add(CTX7, P, pts[0])
 
 
+@pytest.mark.parametrize(
+    "p,full",
+    [(7, True), (19, False), pytest.param(19, True, marks=pytest.mark.extended)],
+)
+def test_on_curve_cleared_matches_generic_identity(p, full):
+    """The cleared-denominator check on rational points against the RatFunc
+    identity y^2 + xy - t^d y = x^3: the thm-1 point and O, with ``full``
+    also all its mu_d-translates, 2P and P + sigma P; and four points off the
+    curve."""
+    ctx = make_field(p)
+    P = construct_point(ctx, line_for_thm1(ctx))
+    on = [P, CurvePoint.infinity(P.level)]
+    if full:
+        zeta = ctx.mu_d_gen()
+        translates = [mu_d_translate(ctx, P, zeta**j) for j in range(1, ctx.d)]
+        on += translates
+        on += [curve_add(ctx, P, P), curve_add(ctx, P, translates[0])]
+    one, t = RatFunc.one(ctx), RatFunc.t(ctx)
+    td = RatFunc.from_poly(Poly.variable(ctx) ** ctx.d)
+    off = [
+        CurvePoint.rational(ctx, P.x, P.y + one),
+        CurvePoint.rational(ctx, P.x, P.y + td),
+        CurvePoint.rational(ctx, P.x + t, P.y),
+        CurvePoint.rational(ctx, P.y, P.x),
+    ]
+    for Q, expected in [(Q, True) for Q in on] + [(Q, False) for Q in off]:
+        assert Q.on_curve() is expected, Q
+        if not Q.is_infinity:
+            assert Q._satisfies_equation() is expected, Q
+
+
 # ----------------------------------------------------------------------------
 # mu_d translation
 # ----------------------------------------------------------------------------
@@ -430,6 +522,16 @@ def test_mu_d_translate_orbit():
     T1 = mu_d_translate(CTX7, P, zeta)
     T12 = mu_d_translate(CTX7, T1, zeta)
     assert T12 == translates[2]
+
+
+def test_mu_d_translate_off_curve_is_a_contradiction(monkeypatch):
+    # t -> g*t with g outside mu_d does not fix t^d, so the image leaves E.
+    monkeypatch.setattr(efield, "in_mu_d", lambda ctx, zeta: True)
+    with pytest.raises(ContradictionError) as info:
+        mu_d_translate(CTX7, thm1_point(), CTX7.gen)
+    msg = str(info.value)
+    assert "q = 7" in msg and f"dlog {CTX7.gen.dlog}" in msg
+    assert "translate left the curve" in msg
 
 
 # ----------------------------------------------------------------------------
