@@ -24,8 +24,12 @@ Galois-stable.  The candidate list depends on q mod 12:
 
 The sums come from the F_q-plane route of ``charsum``: one histogram of
 the tuple (1, 1, 1) per candidate c tried, pushed forward by k -> ik to
-the counts vector of (i, i, i, -3i).  The mod-3, Galois-transfer and
-line-count checks run on those values.
+the counts vectors of (i, i, i, -3i).  Each candidate reduces the
+representatives of the orbits still without a witness as one batch
+(``CycElt.batch``), and each witnessed orbit reduces its members as one
+more.  The mod-3, Galois-transfer and no-witness checks then run orbit by
+orbit, so the first failing orbit raises, as in a per-tuple scan; the
+line-count checks follow.
 
 ``certify_general`` scans every tuple against every admissible c with no
 Galois transfer, computing every sum by the F_{q^2} sweep
@@ -156,27 +160,37 @@ def certify(ctx: FieldCtx) -> Certificate:
     candidates = [line_for_thm1(ctx).c] if single_line else admissible_values(ctx)
     two_q = CycElt.from_int(d, 2 * q)
     plane = _PlaneSweep(ctx, 1, 1, 1)
-    histograms = {}  # c code -> counts vector of (1, 1, 1)
+    orbits = galois_orbits(d)
 
-    def swept(c: FqElem, t: ExponentTuple) -> CycElt:
-        if c.code not in histograms:
-            histograms[c.code] = plane.counts(c)
-        s = CycElt(d, _pushforward(histograms[c.code], t.i0).tolist())
+    # the scan: each candidate c sweeps one histogram of (1, 1, 1) and one
+    # batch covers the representatives of the orbits still without a witness
+    # orbit position -> (last c tried, its histogram, S of the representative)
+    tried = {}
+    pending = list(range(len(orbits)))
+    for c in candidates:
+        if not pending:
+            break
+        hist = plane.counts(c)
+        reps = CycElt.batch(d, _pushforward(hist, [orbits[k][0] for k in pending]))
+        for k, s in zip(pending, reps):
+            tried[k] = (c, hist, s)
+        pending = [k for k in pending if tried[k][2] == two_q]
+
+    def mod3_check(c: FqElem, t: ExponentTuple, s: CycElt) -> None:
         if single_line and not is_one_mod_3(s):
             raise ContradictionError(
                 f"mod-3 obstruction failed at q={q} for tuple {t.entries}, c={c.dlog}:"
                 f" expected S = 1 mod 3, got S = {list(s.canon)}"
             )
-        return s
 
+    # the checks, orbit by orbit: the representative, then its members,
+    # swept in one batch with the witness
     coverage = {ExponentTuple.trivial(d): _trivial_entry(d)}
-    for orbit in galois_orbits(d):
+    for k, orbit in enumerate(orbits):
         rep = ExponentTuple.w_type(d, orbit[0])
-        for c in candidates:
-            s = swept(c, rep)
-            if s != two_q:
-                break
-        else:
+        c, hist, s = tried.get(k, (None, None, two_q))  # no candidate at all
+        mod3_check(c, rep, s)
+        if s == two_q:
             if q % 12 != 11:
                 raise ContradictionError(
                     f"no witness at q={q} for tuple {rep.entries}: expected S != 2q for"
@@ -188,9 +202,10 @@ def certify(ctx: FieldCtx) -> Certificate:
                 coverage[t] = CoverageEntry(t, None, None, False)
             continue
         coverage[rep] = CoverageEntry(rep, c, s, True)
-        for i in orbit[1:]:
+        members = CycElt.batch(d, _pushforward(hist, orbit[1:]))
+        for i, s in zip(orbit[1:], members):
             t = ExponentTuple.w_type(d, i)
-            s = swept(c, t)
+            mod3_check(c, t, s)
             # S_c(u*t) = sigma_u(S_c(t)), and sigma_u fixes 2q
             if s == two_q:
                 raise ContradictionError(

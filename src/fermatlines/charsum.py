@@ -24,8 +24,12 @@ character exponents, as an element of Z[zeta_d]:
   where psi(s) = e(s + beta) and N0 counts the x in F_q at which no present
   factor vanishes (none vanishes on the plane).  One q x q table of psi
   covers every c, so a sum costs q^2 - q table lookups and no F_{q^2}
-  addition.  ``sum_S``, ``survey_N``, ``quadratic_identity_check``,
+  addition; the int16 tables hold the tail twice, so each c reads one
+  contiguous slice.  ``sum_S``, ``survey_N``, ``quadratic_identity_check``,
   ``sum_over_c``, ``mod3_test`` and ``certify`` all use this route.
+  ``survey_N`` and ``quadratic_identity_check`` reduce the counts of
+  _BLOCK_ROWS values of c at a time in Z[zeta_d] (``cyc._canon_rows``) and
+  read the integer value off the canon rows, with no CycElt per c.
 - ``_sweep_counts`` sweeps all q^2 codes of F_{q^2}: per-code exponent
   tables for x, x+1, x+c are combined mod d and bucketed with bincount.
   It is the independent reference, used only by ``certify_general`` and
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyc import CycElt, mod_ideal_class
+from .cyc import CycElt, _canon_rows, mod_ideal_class
 from .gf import ContradictionError, FieldCtx, FqElem
 
 __all__ = [
@@ -187,19 +191,26 @@ class _PlaneSweep:
     counts(c) is entrywise equal to
     _sweep_counts(ctx, [(i0, 0), (i1, 1), (i2, c.code)]).  F_q is indexed by
     0 -> 0 and g^(d m) -> m + 1, so multiplying v by c adds dlog(c)/d to the
-    index, cyclically on 1..q-1; and the int32 table
+    index, cyclically on 1..q-1; and the table
 
         P[a, b] = psi(s_a + s_b)    (s_a the element of index a)
 
     holds every psi value a sweep reads: psi(u) = P[u, 0], psi(u + v) =
-    P[u, v], psi(u + cv) = P[u, idx(cv)].  An instance keeps two int32 q x q
-    tables derived from P, 8q^2 bytes (0.94 MB at q = 343, 32 MB at
-    q = 1999); building them takes a few transient int32 q x q arrays.
-    Callers build one per call; nothing is stored on the FieldCtx.
+    P[u, v], psi(u + cv) = P[u, idx(cv)].  An instance keeps the head
+    i0 psi(u) + i1 psi(u + v) over v = 1..q-1 and the tail i2 psi(u + cv),
+    both int16 and reduced mod d.  The tail over columns 1..q-1 is stored
+    twice side by side, so the columns of c = g^(d s) are the contiguous
+    slice [s, s + q - 1) of the doubled tail; c = 0 reads column 0.  The
+    tables take 6q^2 bytes (0.71 MB at q = 343, 24 MB at q = 1999); building
+    them takes two transient int32 q x q arrays.  Callers build one per
+    call; nothing is stored on the FieldCtx.
     """
 
     def __init__(self, ctx: FieldCtx, i0: int, i1: int, i2: int):
         q, d, p = ctx.q, ctx.d, ctx.p
+        # head + tail is at most 2d - 2, summed and binned in int16
+        if 2 * d - 1 >= 2**15:
+            raise ValueError(f"d = {d} is too large for the int16 plane tables")
         i0, i1, i2 = i0 % d, i1 % d, i2 % d
         # codes of F_q in index order, as base-p digits
         codes = np.concatenate(([0], ctx.exp[::d])).astype(np.int32)
@@ -210,14 +221,22 @@ class _PlaneSweep:
         for j, unit in enumerate(units):
             plane += (digits[:, None, j] + digits[None, :, j] + beta[j]) % p * unit
         P = ctx.dlog[plane]  # int32 gather: dlog values are below q^2 <= 4M
-        del plane  # freed before the two q x q tables below
+        del plane  # freed before the tables below
         P %= d
         self.q, self.d = q, d
-        # exponent of x^i0 (x+1)^i1 at (u, v), and i2 * P for the gather;
-        # i0, i1, i2 and P are below d, so both stay below 2d^2 in int32
-        self._head = (i0 * P[:, :1] + i1 * P[:, 1:]) % d
-        self._tail = i2 * P % d
-        self._cycle = np.arange(q - 1)
+        # exponent of x^i0 (x+1)^i1 at (u, v); i0, i1 and P are below d, so
+        # the int32 sum stays below 2d^2
+        head = i1 * P[:, 1:]
+        head += i0 * P[:, :1]
+        head %= d
+        self._head = head.astype(np.int16)
+        del head
+        P *= i2  # i2 * P < d^2 in int32
+        P %= d
+        tail = P.astype(np.int16)
+        del P
+        self._tail0 = tail[:, :1].copy()
+        self._tail2 = np.concatenate((tail[:, 1:], tail[:, 1:]), axis=1)
         # x in F_q at which x^i0, (x+1)^i1 or (x+c)^i2 is present and vanishes
         self._zeros = {code for code, e in ((0, i0), (ctx.neg_code(1), i1)) if e}
         self._neg_c = ctx.neg_code if i2 else None
@@ -226,10 +245,11 @@ class _PlaneSweep:
         """The length-d int64 counts vector of S_c; c must lie in F_q."""
         q, d = self.q, self.d
         if c.is_zero:
-            cols = np.zeros(q - 1, dtype=np.intp)
+            tail = self._tail0
         else:
-            cols = (self._cycle + c.dlog // d) % (q - 1) + 1
-        tot = np.bincount((self._head + self._tail[:, cols]).ravel(), minlength=2 * d)
+            s = c.dlog // d
+            tail = self._tail2[:, s : s + q - 1]
+        tot = np.bincount((self._head + tail).ravel(), minlength=2 * d)
         counts = tot[:d] + tot[d:]
         zeros = self._zeros
         if self._neg_c is not None:
@@ -238,17 +258,21 @@ class _PlaneSweep:
         return counts
 
 
-def _pushforward(counts: np.ndarray, i: int) -> np.ndarray:
-    """counts pushed forward by k -> i*k mod d.
+def _pushforward(counts: np.ndarray, idx) -> np.ndarray:
+    """counts pushed forward by k -> i*k mod d, for each i in idx.
 
     For i != 0 mod d this turns the counts vector of (1, 1, 1) into that of
     (i, i, i): every exponent scales by i and the vanishing set is the same.
-    It is an exact recomputation, valid for non-units i too.
+    It is an exact recomputation, valid for non-units i too.  idx is an
+    index array, giving one row per index from a single np.add.at, or one
+    integer, giving one vector.
     """
     d = len(counts)
-    out = np.zeros(d, dtype=np.int64)
-    np.add.at(out, np.arange(d) * i % d, counts)
-    return out
+    idx = np.asarray(idx, dtype=np.int64)
+    targets = idx.reshape(-1, 1) * np.arange(d) % d
+    out = np.zeros(targets.shape, dtype=np.int64)
+    np.add.at(out, (np.arange(len(targets))[:, None], targets), counts)
+    return out.reshape(idx.shape + (d,))
 
 
 def sum_S(ctx: FieldCtx, c: FqElem, t: ExponentTuple) -> SumRecord:
@@ -269,6 +293,27 @@ def sum_S(ctx: FieldCtx, c: FqElem, t: ExponentTuple) -> SumRecord:
     return SumRecord(c=c, tuple=t, value=value, as_integer=value.as_integer)
 
 
+# c per reduction block of survey_N and quadratic_identity_check: the block
+# is _BLOCK_ROWS x d int64, 4 MB at q = 1999
+_BLOCK_ROWS = 256
+
+
+def _integer_values(sweep: _PlaneSweep, elements: list[FqElem]):
+    """Yield (c, S_c) for each c in elements, S_c as an int, or None when it
+    is not rational.  The counts rows fill a preallocated block that is
+    reduced in Z[zeta_d] by one ``_canon_rows`` call."""
+    d = sweep.d
+    block = np.empty((_BLOCK_ROWS, d), dtype=np.int64)
+    for start in range(0, len(elements), _BLOCK_ROWS):
+        chunk = elements[start : start + _BLOCK_ROWS]
+        for r, c in enumerate(chunk):
+            block[r] = sweep.counts(c)
+        canon = _canon_rows(d, block[: len(chunk)])
+        rational = (canon[:, 1:] == 0).all(axis=1).tolist()
+        for c, is_int, value in zip(chunk, rational, canon[:, 0].tolist()):
+            yield c, value if is_int else None
+
+
 # ----------------------------------------------------------------------------
 # closed-form identities
 # ----------------------------------------------------------------------------
@@ -286,16 +331,13 @@ def quadratic_identity_check(ctx: FieldCtx, order: int) -> dict:
         raise ValueError(f"order must divide d = {d} and exceed 1")
     e = d // order
     expected = ctx.q if order > 2 else -1
-    sweep = _PlaneSweep(ctx, e, 0, e)
-    failed = []
-    checked = 0
-    for c in ctx.fq_elements():
-        if c.is_zero:
-            continue
-        value = CycElt(d, sweep.counts(c).tolist())
-        checked += 1
-        if not value.equals_integer(expected):
-            failed.append(c.code)
+    units = [c for c in ctx.fq_elements() if not c.is_zero]
+    failed = [
+        c.code
+        for c, value in _integer_values(_PlaneSweep(ctx, e, 0, e), units)
+        if value != expected
+    ]
+    checked = len(units)
     return {
         "order": order,
         "expected": expected,
@@ -392,13 +434,11 @@ def survey_N(ctx: FieldCtx, order: int):
         raise ValueError(f"order must divide d = {d} and exceed 2")
     e = d // order
     q = ctx.q
-    sweep = _PlaneSweep(ctx, e, e, e)
     hits, misses = [], []
-    for c in ctx.fq_elements():
-        value = CycElt(d, sweep.counts(c).tolist())
-        if value.equals_integer(2 * q):
+    for c, value in _integer_values(_PlaneSweep(ctx, e, e, e), list(ctx.fq_elements())):
+        if value == 2 * q:
             hits.append(c)
-        elif value.equals_integer(-2 * q):
+        elif value == -2 * q:
             misses.append(c)
     N = len(hits)
     if 4 * N > 3 * q - 9:

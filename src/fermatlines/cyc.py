@@ -7,8 +7,14 @@ Character sums live here.  An element is carried in two forms at once:
     canon:  the remainder of sum_j counts[j] x^j modulo Phi_d(x) over Z,
             a length-phi(d) integer vector, low degree first.
 
-canon is computed as counts @ R_d, where row j of the d x phi(d) matrix
-R_d is x^j mod Phi_d; R_d is built once per d.
+canon is counts @ R_d, where row j of the d x phi(d) matrix R_d is
+x^j mod Phi_d; R_d is built once per d.  Its first phi rows are the
+identity, so ``_canon_rows`` computes counts[:phi] + counts[phi:] @ R_d[phi:]
+for a whole (n, d) matrix of counts rows at once.  A row takes the int64
+product when sum |counts| * max |R_d| < 2^63 and the exact Python-int
+product otherwise.  It is the one reduction route: ``CycElt`` reduces its
+counts as a one-row matrix, and ``CycElt.batch`` builds the elements of
+many rows from one call.
 
 canon is the unique representative in Z[x]/(Phi_d), so equality of CycElts
 is equality of canon.  counts is kept because the Galois action (and in
@@ -75,8 +81,10 @@ def _reduction_matrix(d: int) -> tuple[np.ndarray, int]:
     Row j is x times row j - 1, with the x^phi term folded back through
     Phi_d.  If a step overflowed int64, its input row (still exact) bounds
     the step's true result by max|R_d| * (1 + max|Phi_d|), so checking that
-    bound once at the end covers every step.  Each R_d takes 8 d phi(d)
-    bytes (12.8 MB at d = 2000) for the life of the process.
+    bound once at the end covers every step.  R_d is returned in column-major
+    order, so the integer matmul of ``_canon_rows`` runs down contiguous
+    columns (twice as fast at d = 2000).  Each R_d takes 8 d phi(d) bytes
+    (12.8 MB at d = 2000) for the life of the process.
     """
     phi_poly = np.array(cyclotomic_poly(d)[:-1], dtype=np.int64)
     n = len(phi_poly)
@@ -89,8 +97,44 @@ def _reduction_matrix(d: int) -> tuple[np.ndarray, int]:
     height = int(np.abs(rows).max())
     if height * (1 + int(np.abs(phi_poly).max())) >= 2**63:
         raise OverflowError(f"x^j mod Phi_{d} does not fit in int64")
+    rows = np.asfortranarray(rows)
     rows.flags.writeable = False
     return rows, height
+
+
+def _fits_int64(counts: np.ndarray, height: int) -> np.ndarray:
+    """Per row of counts, whether sum |counts| * height < 2^63, so that the
+    int64 product with R_d (entries at most height) is exact."""
+    n, d = counts.shape
+    if counts.dtype == np.int64:
+        lim = (2**63 - 1) // (d * height)
+        # a row with every entry in [-lim, lim] has sum |counts| * height < 2^63
+        fits = ((counts >= -lim) & (counts <= lim)).all(axis=1)
+    else:
+        fits = np.zeros(n, dtype=bool)
+    for r in np.flatnonzero(~fits):
+        fits[r] = sum(map(abs, counts[r].tolist())) * height < 2**63
+    return fits
+
+
+def _canon_rows(d: int, counts: np.ndarray) -> np.ndarray:
+    """canon of every row of an (n, d) int64 or object counts matrix.
+
+    Returns an (n, phi) int64 matrix, or an object matrix of Python ints
+    when some row fails the int64 bound and takes the exact object product.
+    """
+    rows, height = _reduction_matrix(d)
+    phi = rows.shape[1]
+    fits = _fits_int64(counts, height)
+    if fits.all():
+        counts = counts.astype(np.int64, copy=False)
+        return counts[:, :phi] + counts[:, phi:] @ rows[phi:]
+    canon = np.empty((len(counts), phi), dtype=object)
+    small = counts[fits].astype(np.int64)
+    canon[fits] = small[:, :phi] + small[:, phi:] @ rows[phi:]
+    big = counts[~fits].astype(object)
+    canon[~fits] = big[:, :phi] + big[:, phi:] @ rows[phi:].astype(object)
+    return canon
 
 
 class CycElt:
@@ -99,19 +143,31 @@ class CycElt:
     __slots__ = ("d", "counts", "canon")
 
     def __init__(self, d: int, counts):
-        counts = tuple(int(c) for c in counts)
+        counts = tuple(map(int, counts))
         if len(counts) != d:
             raise ValueError(f"counts must have length d = {d}")
+        try:
+            row = np.array([counts], dtype=np.int64)
+        except OverflowError:
+            row = np.array([counts], dtype=object)
         self.d = d
         self.counts = counts
-        rows, height = _reduction_matrix(d)
-        if sum(map(abs, counts)) * height < 2**63:
-            canon = np.array(counts, dtype=np.int64) @ rows
-        else:
-            canon = np.array(counts, dtype=object) @ rows.astype(object)
-        self.canon = tuple(canon.tolist())
+        self.canon = tuple(_canon_rows(d, row)[0].tolist())
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def batch(cls, d: int, counts: np.ndarray) -> list["CycElt"]:
+        """One element per row of an (n, d) int64 or object counts matrix,
+        reduced by one ``_canon_rows`` call."""
+        if counts.ndim != 2 or counts.shape[1] != d:
+            raise ValueError(f"counts must be an (n, d = {d}) matrix")
+        out = []
+        for row, canon in zip(counts.tolist(), _canon_rows(d, counts).tolist()):
+            elt = cls.__new__(cls)
+            elt.d, elt.counts, elt.canon = d, tuple(row), tuple(canon)
+            out.append(elt)
+        return out
 
     @classmethod
     def zero(cls, d: int) -> "CycElt":

@@ -330,9 +330,9 @@ def test_certify_sweeps_once_per_candidate_tried(monkeypatch, q):
 
 def _constant_pushforward(value):
     # stands in for the pushforward: every tuple gets the integer value(q)
-    def fake(counts, i):
-        out = np.zeros(len(counts), dtype=np.int64)
-        out[0] = value(len(counts) - 1)
+    def fake(counts, idx):
+        out = np.zeros((len(idx), len(counts)), dtype=np.int64)
+        out[:, 0] = value(len(counts) - 1)
         return out
 
     return fake
@@ -353,10 +353,11 @@ def test_certify_galois_transfer_failure_is_a_contradiction(monkeypatch):
     reps = {o[0] for o in galois_orbits(14)}
     pushforward = certify_mod._pushforward
 
-    def member_hits_2q(counts, i):
-        if i in reps:
-            return pushforward(counts, i)
-        return _constant_pushforward(lambda q: 2 * q)(counts, i)
+    def member_hits_2q(counts, idx):
+        out = pushforward(counts, idx)
+        members = [k for k, i in enumerate(idx) if i not in reps]
+        out[members] = _constant_pushforward(lambda q: 2 * q)(counts, idx)[members]
+        return out
 
     monkeypatch.setattr(certify_mod, "_pushforward", member_hits_2q)
     F = field(13)

@@ -165,6 +165,67 @@ def test_pushforward_gives_every_w_tuple(p):
             assert _pushforward(hist, i).tolist() == expected.tolist(), (c.code, i)
 
 
+def _pushforward_loop(counts, i):
+    out = [0] * len(counts)
+    for k, n in enumerate(counts):
+        out[k * i % len(counts)] += n
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 11])
+def test_pushforward_index_array_matches_scalar_loop(p):
+    # one row per index, in the order given, repeats and non-units included
+    ctx = make_field(p)
+    d = ctx.d
+    hist = _PlaneSweep(ctx, 1, 1, 1).counts(ctx.elem(2))
+    idx = [1, 0, d - 1, 2, 3, d // 2, 2, d + 5, d - 2]
+    rows = _pushforward(hist, idx)
+    assert rows.shape == (len(idx), d) and rows.dtype == np.int64
+    assert rows.tolist() == [_pushforward_loop(hist.tolist(), i) for i in idx]
+    assert _pushforward(hist, np.array(idx)).tolist() == rows.tolist()
+    assert _pushforward(hist, 3).tolist() == _pushforward_loop(hist.tolist(), 3)
+    assert _pushforward(hist, []).shape == (0, d)
+
+
+def _plane_shift_cases(ctx):
+    # c = 0 reads column 0 of the tail; c = g^(d s) reads the doubled tail
+    # from column s, wrapping around for every s > 0
+    d, q = ctx.d, ctx.q
+    return [ctx.zero] + [ctx.elem(int(ctx.exp[s * d])) for s in (0, 1, q - 2)]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_plane_counts_at_the_wrap_around_shifts(p):
+    ctx = make_field(p)
+    d = ctx.d
+    cases = _plane_shift_cases(ctx)
+    assert [c.dlog // d for c in cases[1:]] == [0, 1, ctx.q - 2]
+    for i0, i1, i2 in [(1, 1, 1), (1, 2, 3), (0, 3, d - 1), (2, 0, 5), (3, 3, 0)]:
+        sweep = _PlaneSweep(ctx, i0, i1, i2)
+        for c in cases:
+            expected = _reference_counts(ctx, c, i0, i1, i2)
+            assert sweep.counts(c).tolist() == expected.tolist(), (i0, i1, i2, c.code)
+
+
+@pytest.mark.extended
+def test_plane_counts_at_the_wrap_around_shifts_at_the_size_cap():
+    # q = 1999: int16 tables holding head + tail up to 2d - 2 = 3998
+    ctx = make_field(1999)
+    sweep = _PlaneSweep(ctx, 1, 1, 1)
+    assert sweep._head.dtype == sweep._tail2.dtype == np.int16
+    assert sweep._tail2.shape == (ctx.q, 2 * (ctx.q - 1))
+    for c in _plane_shift_cases(ctx):
+        assert sweep.counts(c).tolist() == _reference_counts(ctx, c, 1, 1, 1).tolist()
+
+
+def test_plane_sweep_rejects_d_past_the_int16_bound():
+    class Huge:  # a stand-in context: the bound is checked before any table
+        q, d, p = 2**14, 2**14 + 1, 2**14
+
+    with pytest.raises(ValueError, match="int16"):
+        _PlaneSweep(Huge, 1, 1, 1)
+
+
 def _charsum_json(ctx, c, t):
     argv = ["charsum", "--p", str(ctx.p), "--k", str(ctx.k), "--format", "json"]
     argv += ["--c", ",".join(map(str, c.coeffs)), "--tuple", ",".join(map(str, t.entries))]
@@ -515,6 +576,20 @@ def test_survey_matches_sum_S_oracle(p, k, order):
     hits = [c for c in ctx.fq_elements() if values[c] == 2 * q]
     misses = [c for c in ctx.fq_elements() if values[c] == -2 * q]
     assert survey_N(ctx, order) == (len(hits), hits, misses)
+
+
+@pytest.mark.parametrize("p,k", [(7, 3), (251, 1)])
+def test_survey_matches_per_c_element_decision(p, k):
+    # the blocked reduction against one CycElt per c on the same plane
+    # counts; the 343 c of q = 7^3 fill one block and part of a second
+    ctx = make_field(p, k)
+    q, d = ctx.q, ctx.d
+    sweep = _PlaneSweep(ctx, d // 4, d // 4, d // 4)
+    values = {c: CycElt(d, sweep.counts(c)) for c in ctx.fq_elements()}
+    hits = [c for c in ctx.fq_elements() if values[c].equals_integer(2 * q)]
+    misses = [c for c in ctx.fq_elements() if values[c].equals_integer(-2 * q)]
+    assert survey_N(ctx, 4) == (len(hits), hits, misses)
+    assert 0 < len(hits) and 0 < len(misses)
 
 
 def test_survey_rejects_bad_order():

@@ -1,6 +1,7 @@
 """Cyclotomic-ring tests: Phi_d correctness against an independent oracle,
 ring axioms, Galois action, realness, and ideal-class reduction."""
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from fermatlines.cyc import (
     CycElt,
+    _canon_rows,
     _poly_divmod_exact,
     accumulate,
     cyclotomic_poly,
@@ -131,6 +133,54 @@ def test_canon_exact_at_the_int64_boundary(big):
     counts[6] = -big
     _, rem = _poly_divmod_exact(counts, cyclotomic_poly(12))
     assert CycElt(12, counts).canon == tuple(rem + [0] * (4 - len(rem)))
+
+
+def _division_canon(d, counts):
+    _, rem = _poly_divmod_exact(counts, cyclotomic_poly(d))
+    return tuple(rem + [0] * (len(cyclotomic_poly(d)) - 1 - len(rem)))
+
+
+@pytest.mark.parametrize("d", [6, 12, 200, 252, 344])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_canon_rows_and_batch_match_per_row_elements(d, data):
+    # rows of small entries take the int64 product; rows with an entry past
+    # 2^63 (object matrix) or with sum |counts| * max |R_d| >= 2^63 (int64
+    # matrix, entries near 2^62) take the Python-int product
+    small = st.lists(st.integers(-5000, 5000), min_size=d, max_size=d)
+    huge = st.lists(st.integers(-(2**70), 2**70), min_size=d, max_size=d)
+    near = st.lists(st.integers(-(2**62), 2**62), min_size=d, max_size=d)
+    big_rows = data.draw(st.sampled_from(["object", "int64"]), label="big rows")
+    row = st.one_of(small, huge if big_rows == "object" else near)
+    rows = data.draw(st.lists(row, min_size=1, max_size=6), label="rows")
+    counts = np.array(rows, dtype=object if big_rows == "object" else np.int64)
+    expected = [CycElt(d, r).canon for r in rows]
+    assert expected == [_division_canon(d, r) for r in rows]
+    assert [tuple(c) for c in _canon_rows(d, counts).tolist()] == expected
+    batch = CycElt.batch(d, counts)
+    assert batch == [CycElt(d, r) for r in rows]
+    assert [e.counts for e in batch] == [tuple(r) for r in rows]
+    assert [e.canon for e in batch] == expected
+
+
+def test_canon_rows_mixed_block_keeps_the_int64_rows_exact():
+    # one row over the bound turns the result into Python ints, and the
+    # int64 rows of the same block keep their exact values
+    d = 12
+    small = [3, -1, 4, 1, -5, 9, 2, -6, 5, 3, -5, 8]
+    counts = np.array([small, [2**64] + [0] * 11, small], dtype=object)
+    canon = _canon_rows(d, counts)
+    assert canon.dtype == object
+    assert canon[0].tolist() == canon[2].tolist() == list(_division_canon(d, small))
+    assert canon[1].tolist() == [2**64, 0, 0, 0]
+    assert _canon_rows(d, np.array([small], dtype=np.int64)).dtype == np.int64
+
+
+def test_batch_rejects_a_matrix_of_the_wrong_shape():
+    with pytest.raises(ValueError):
+        CycElt.batch(12, np.zeros((2, 11), dtype=np.int64))
+    with pytest.raises(ValueError):
+        CycElt.batch(12, np.zeros(12, dtype=np.int64))
 
 
 def test_mixed_orders_rejected():
