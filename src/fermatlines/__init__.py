@@ -22,21 +22,15 @@ from .charsum import (
     survey_N,
 )
 from .efield import (
-    CubicExt,
     CurvePoint,
-    ExtElt,
-    FunctionField,
     Poly,
-    QuadExt,
     RatFunc,
-    conjugate_points,
     construct_point,
     curve_add,
     curve_neg,
     line_components,
     mu_d_translate,
     point_from_components,
-    splitting_roots,
 )
 from .fermat import (
     IntersectionSet,
@@ -63,7 +57,6 @@ from .cyc import (
 )
 from .gf import (
     ContradictionError,
-    DescentError,
     FieldCtx,
     FqElem,
     NonRationalError,

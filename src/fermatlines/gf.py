@@ -40,7 +40,6 @@ import numpy as np
 __all__ = [
     "ContradictionError",
     "NonRationalError",
-    "DescentError",
     "SIZE_CAP",
     "FieldCtx",
     "FqElem",
@@ -68,10 +67,6 @@ class ContradictionError(RuntimeError):
 
 class NonRationalError(ContradictionError):
     """A cyclotomic total that was asked for as a rational is not rational."""
-
-
-class DescentError(ContradictionError):
-    """A traced point failed to descend to the base function field."""
 
 
 # ----------------------------------------------------------------------------

@@ -369,7 +369,7 @@ def test_criterion_09_explicit_point():
         Poly.from_fp(ctx, list(reversed(PY_NUM_INNER))),
         Poly.from_fp(ctx, list(reversed(PY_DEN))),
     )
-    expected = CurvePoint.rational(ctx, x, y)
+    expected = CurvePoint(ctx, x, y)
     L = line_for_thm1(ctx)
     assert L.a == ctx.elem(3) and L.b * L.b == ctx.elem(3)
     P = construct_point(ctx, L)
