@@ -26,10 +26,12 @@ The sums come from the F_q-plane route of ``charsum``: one histogram of
 the tuple (1, 1, 1) per candidate c tried, pushed forward by k -> ik to
 the counts vectors of (i, i, i, -3i).  Each candidate reduces the
 representatives of the orbits still without a witness as one batch
-(``CycElt.batch``), and each witnessed orbit reduces its members as one
-more.  The mod-3, Galois-transfer and no-witness checks then run orbit by
-orbit, so the first failing orbit raises, as in a per-tuple scan; the
-line-count checks follow.
+(``cyc._canon_rows``), and each witnessed orbit reduces its members as one
+more; on the single line one % 3 over a batch's canon rows gives the
+mod-3 residues of all its sums.  The mod-3, Galois-transfer and no-witness
+checks then run orbit by orbit, so the first failing orbit raises, as in a
+per-tuple scan; the line-count checks follow.  The w-type tuples are built
+once per call (``w_tuples``) and indexed by i.
 
 ``certify_general`` scans every tuple against every admissible c with no
 Galois transfer, computing every sum by the F_{q^2} sweep
@@ -42,15 +44,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
+import numpy as np
+
 from .charsum import (
     ExponentTuple,
     _PlaneSweep,
     _pushforward,
     _sweep_counts,
     admissible_values,
-    is_one_mod_3,
 )
-from .cyc import CycElt
+from .cyc import CycElt, _canon_rows
 from .fermat import line_for_thm1, w_tuples
 from .gf import ContradictionError, FieldCtx, FqElem, prime_power
 
@@ -124,9 +127,9 @@ class Certificate:
         }
 
 
-def _assemble(ctx: FieldCtx, coverage: dict) -> Certificate:
-    tuples = w_tuples(ctx.d)
-    # callers iterate coverage in tuple order, whatever order it was filled in
+def _assemble(ctx: FieldCtx, coverage: dict, tuples: list[ExponentTuple]) -> Certificate:
+    # callers iterate coverage in tuple order, whatever order it was filled in;
+    # tuples is w_tuples(ctx.d)
     coverage = {t: coverage[t] for t in tuples}
     all_nonzero = all(coverage[t].nonzero for t in tuples)
     used = {e.c.code for e in coverage.values() if e.c is not None and e.nonzero}
@@ -141,10 +144,17 @@ def _assemble(ctx: FieldCtx, coverage: dict) -> Certificate:
     )
 
 
-def _trivial_entry(d: int) -> CoverageEntry:
+def _trivial_entry(trivial: ExponentTuple) -> CoverageEntry:
     # the trivial character pairs to the constant 1/d on every translated
     # line class, which is nonzero; no S computation is involved
-    return CoverageEntry(ExponentTuple.trivial(d), None, None, True)
+    return CoverageEntry(trivial, None, None, True)
+
+
+def _one_mod_3(canon: np.ndarray) -> list[bool]:
+    """Per canon row, whether it is 1 mod 3*Z[zeta_d] (as ``is_one_mod_3``),
+    from one % 3 over the rows; the residues are freed on return."""
+    residue = canon % 3
+    return ((residue[:, 0] == 1) & (residue[:, 1:] == 0).all(axis=1)).tolist()
 
 
 def certify(ctx: FieldCtx) -> Certificate:
@@ -161,23 +171,34 @@ def certify(ctx: FieldCtx) -> Certificate:
     two_q = CycElt.from_int(d, 2 * q)
     plane = _PlaneSweep(ctx, 1, 1, 1)
     orbits = galois_orbits(d)
+    tuples = w_tuples(d)
+    w_type = {t.i0: t for t in tuples}  # i -> (i, i, i, -3i)
+
+    def reduce(counts):
+        # (S, whether S = 1 mod 3) per counts row; the mod-3 flags are
+        # needed on the single line only
+        canon = _canon_rows(d, counts)
+        one_mod_3 = _one_mod_3(canon) if single_line else [True] * len(canon)
+        canon = canon.tolist()  # frees the matrix before the elements are built
+        return zip(CycElt.from_canon_rows(d, counts, canon), one_mod_3)
 
     # the scan: each candidate c sweeps one histogram of (1, 1, 1) and one
     # batch covers the representatives of the orbits still without a witness
-    # orbit position -> (last c tried, its histogram, S of the representative)
+    # orbit position -> (last c tried, its histogram, S of the representative,
+    # whether that S is 1 mod 3)
     tried = {}
     pending = list(range(len(orbits)))
     for c in candidates:
         if not pending:
             break
         hist = plane.counts(c)
-        reps = CycElt.batch(d, _pushforward(hist, [orbits[k][0] for k in pending]))
-        for k, s in zip(pending, reps):
-            tried[k] = (c, hist, s)
+        reps = reduce(_pushforward(hist, [orbits[k][0] for k in pending]))
+        for k, (s, one_mod_3) in zip(pending, reps):
+            tried[k] = (c, hist, s, one_mod_3)
         pending = [k for k in pending if tried[k][2] == two_q]
 
-    def mod3_check(c: FqElem, t: ExponentTuple, s: CycElt) -> None:
-        if single_line and not is_one_mod_3(s):
+    def mod3_check(c: FqElem, t: ExponentTuple, s: CycElt, one_mod_3: bool) -> None:
+        if not one_mod_3:
             raise ContradictionError(
                 f"mod-3 obstruction failed at q={q} for tuple {t.entries}, c={c.dlog}:"
                 f" expected S = 1 mod 3, got S = {list(s.canon)}"
@@ -185,11 +206,12 @@ def certify(ctx: FieldCtx) -> Certificate:
 
     # the checks, orbit by orbit: the representative, then its members,
     # swept in one batch with the witness
-    coverage = {ExponentTuple.trivial(d): _trivial_entry(d)}
+    coverage = {tuples[0]: _trivial_entry(tuples[0])}
     for k, orbit in enumerate(orbits):
-        rep = ExponentTuple.w_type(d, orbit[0])
-        c, hist, s = tried.get(k, (None, None, two_q))  # no candidate at all
-        mod3_check(c, rep, s)
+        rep = w_type[orbit[0]]
+        # no candidate at all: only off the single line, where no mod-3 check runs
+        c, hist, s, one_mod_3 = tried.get(k, (None, None, two_q, True))
+        mod3_check(c, rep, s, one_mod_3)
         if s == two_q:
             if q % 12 != 11:
                 raise ContradictionError(
@@ -198,14 +220,14 @@ def certify(ctx: FieldCtx) -> Certificate:
                     " for each"
                 )
             for i in orbit:
-                t = ExponentTuple.w_type(d, i)
+                t = w_type[i]
                 coverage[t] = CoverageEntry(t, None, None, False)
             continue
         coverage[rep] = CoverageEntry(rep, c, s, True)
-        members = CycElt.batch(d, _pushforward(hist, orbit[1:]))
-        for i, s in zip(orbit[1:], members):
-            t = ExponentTuple.w_type(d, i)
-            mod3_check(c, t, s)
+        members = reduce(_pushforward(hist, orbit[1:]))
+        for i, (s, one_mod_3) in zip(orbit[1:], members):
+            t = w_type[i]
+            mod3_check(c, t, s, one_mod_3)
             # S_c(u*t) = sigma_u(S_c(t)), and sigma_u fixes 2q
             if s == two_q:
                 raise ContradictionError(
@@ -213,7 +235,7 @@ def certify(ctx: FieldCtx) -> Certificate:
                     f" expected S != 2q as for {rep.entries}, got S = 2q = {2 * q}"
                 )
             coverage[t] = CoverageEntry(t, c, s, True)
-    cert = _assemble(ctx, coverage)
+    cert = _assemble(ctx, coverage, tuples)
     if single_line and cert.lines_used != 1:
         raise ContradictionError(
             f"single-line certificate at q={q}: expected 1 line, got {cert.lines_used}"
@@ -233,9 +255,9 @@ def certify_general(ctx: FieldCtx) -> Certificate:
     d = ctx.d
     admissible = admissible_values(ctx)
     two_q = CycElt.from_int(d, 2 * ctx.q)
-    coverage: dict[ExponentTuple, CoverageEntry] = {}
-    coverage[ExponentTuple.trivial(d)] = _trivial_entry(d)
-    for t in w_tuples(d)[1:]:
+    tuples = w_tuples(d)
+    coverage = {tuples[0]: _trivial_entry(tuples[0])}
+    for t in tuples[1:]:
         entry = CoverageEntry(t, None, None, False)
         for c in admissible:
             counts = _sweep_counts(ctx, [(t.i0, 0), (t.i1, 1), (t.i2, c.code)])
@@ -244,4 +266,4 @@ def certify_general(ctx: FieldCtx) -> Certificate:
                 entry = CoverageEntry(t, c, s, True)
                 break
         coverage[t] = entry
-    return _assemble(ctx, coverage)
+    return _assemble(ctx, coverage, tuples)

@@ -26,6 +26,7 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
 
 from .certify import certify, expected_rank
 from .charsum import ExponentTuple, admissible_values, is_admissible, sum_S, survey_N
@@ -328,7 +329,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, so every call of ``main`` shares it."""
     parser = argparse.ArgumentParser(
         prog="fermatlines",
         description="Exact character sums, surface lines, explicit points, and rank certificates.",

@@ -14,7 +14,8 @@ for a whole (n, d) matrix of counts rows at once.  A row takes the int64
 product when sum |counts| * max |R_d| < 2^63 and the exact Python-int
 product otherwise.  It is the one reduction route: ``CycElt`` reduces its
 counts as a one-row matrix, and ``CycElt.batch`` builds the elements of
-many rows from one call.
+many rows from one call (``CycElt.from_canon_rows`` when the caller has
+reduced them).
 
 canon is the unique representative in Z[x]/(Phi_d), so equality of CycElts
 is equality of canon.  counts is kept because the Galois action (and in
@@ -162,10 +163,17 @@ class CycElt:
         reduced by one ``_canon_rows`` call."""
         if counts.ndim != 2 or counts.shape[1] != d:
             raise ValueError(f"counts must be an (n, d = {d}) matrix")
+        return cls.from_canon_rows(d, counts, _canon_rows(d, counts).tolist())
+
+    @classmethod
+    def from_canon_rows(cls, d: int, counts: np.ndarray, canon: list) -> list["CycElt"]:
+        """One element per row of counts, given canon = _canon_rows(d, counts)
+        as a list of rows, for callers that also read the canon matrix; it
+        is taken as a list so that the matrix can be freed first."""
         out = []
-        for row, canon in zip(counts.tolist(), _canon_rows(d, counts).tolist()):
+        for row, reduced in zip(counts.tolist(), canon):
             elt = cls.__new__(cls)
-            elt.d, elt.counts, elt.canon = d, tuple(row), tuple(canon)
+            elt.d, elt.counts, elt.canon = d, tuple(row), tuple(reduced)
             out.append(elt)
         return out
 

@@ -17,16 +17,26 @@ mod d, the self-pairing of the lambda-projection of a line L satisfies
 
 where I_L is the set of torus translates meeting L.  I_L decomposes into
 4(d-1) elements with three coordinates 1 plus q^2 - q elements indexed by
-gamma with trace(gamma) != 0, via a closed form.  Independently, the same
-quantity equals -2q + S_{b^2, (i0,i1,i2)} with S the character sum of the
-companion module.  Both routes are implemented in full and compared
-exactly; no step is shared between them past the field tables.
+gamma with trace(gamma) != 0, via a closed form.  build_intersections
+evaluates that closed form on the dlog table over all gamma at once and
+keeps I_L as an int64 array of nu-exponent rows (e0, e1, e2), one per
+element [g_d^e0 : g_d^e1 : g_d^e2 : 1]; the lambda^{-1} sum is then one
+bincount of -(e0 i0 + e1 i1 + e2 i2) mod d.  No TorusElt is built on that
+route: TorusElt serves the decoded views and the geometric oracle.
+Independently, the same quantity equals -2q + S_{b^2, (i0,i1,i2)} with S
+the character sum of the companion module.  Both routes are implemented
+in full and compared exactly; no step is shared between them past the
+field tables.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+
+import numpy as np
 
 from .charsum import ExponentTuple, is_admissible, sum_S
 from .cyc import CycElt
@@ -35,7 +45,6 @@ from .gf import (
     FieldCtx,
     FqElem,
     NonRationalError,
-    frobenius,
     in_mu_d,
     primitive_root_of_unity,
 )
@@ -207,93 +216,119 @@ class TorusElt:
 
 
 class IntersectionSet:
-    """The translates t with L meeting tL: I_L = three_entry + gamma-indexed.
+    """The translates t with L meeting tL, as rows of nu-exponents.
 
-    three_entry holds the 4(d-1) elements having a representative with
-    exactly three coordinates 1; gamma_indexed maps each gamma in F_{q^2}
-    with trace(gamma) != 0 to its translate t_gamma.  The union is
-    repetition-free and omits the identity.
+    exps is a read-only int64 array with one row (e0, e1, e2) per element
+    t = [g_d^e0 : g_d^e1 : g_d^e2 : 1] of I_L, entries in [0, d).  The
+    first 4(d-1) rows are the three-entry block, four rows per m = 1..d-1:
+    (m,0,0), (0,m,0), (0,0,m), (-m,-m,-m).  The remaining q^2 - q rows are
+    the gamma block: the row after the three-entry block by j belongs to
+    the gamma of code gammas[j], and gammas runs over the codes of
+    trace(gamma) != 0 in ascending order.  The rows are distinct and none
+    is (0, 0, 0).
+
+    three_entry and gamma_indexed decode the rows to TorusElt afresh on
+    each access; the tests and the geometric oracle read them, the
+    inner-product route reads exps alone.
     """
 
-    __slots__ = ("three_entry", "gamma_indexed", "_exps")
+    __slots__ = ("ctx", "exps", "gammas")
 
-    def __init__(self, three_entry: list, gamma_indexed: dict):
-        self.three_entry = three_entry
-        self.gamma_indexed = gamma_indexed
-        self._exps = None
+    def __init__(self, ctx: FieldCtx, exps: np.ndarray, gammas: np.ndarray):
+        self.ctx = ctx
+        self.exps = exps
+        self.gammas = gammas
+        exps.flags.writeable = False
+        gammas.flags.writeable = False
 
     def __len__(self):
-        return len(self.three_entry) + len(self.gamma_indexed)
+        return len(self.exps)
+
+    def _decode(self, rows) -> list[TorusElt]:
+        ctx = self.ctx
+        codes = ctx.exp[(ctx.q - 1) * rows].tolist()
+        return [TorusElt(*(FqElem(ctx, c) for c in row)) for row in codes]
+
+    @property
+    def three_entry(self) -> tuple[TorusElt, ...]:
+        return tuple(self._decode(self.exps[: len(self.exps) - len(self.gammas)]))
+
+    @property
+    def gamma_indexed(self) -> Mapping[FqElem, TorusElt]:
+        """gamma -> t_gamma for every gamma with trace(gamma) != 0."""
+        ctx = self.ctx
+        gammas = (FqElem(ctx, c) for c in self.gammas.tolist())
+        rows = self.exps[len(self.exps) - len(self.gammas) :]
+        return MappingProxyType(dict(zip(gammas, self._decode(rows))))
 
     def all_elements(self):
-        yield from self.three_entry
-        yield from self.gamma_indexed.values()
-
-    def exponent_triples(self) -> list[tuple[int, int, int]]:
-        """nu-exponent triples of every element, cached for tuple sweeps."""
-        if self._exps is None:
-            self._exps = [t.nu_exponents() for t in self.all_elements()]
-        return self._exps
+        yield from self._decode(self.exps)
 
     def lambda_inv_sum(self, t: ExponentTuple) -> CycElt:
         """Sum over I_L of lambda^{-1}(t) as an exact cyclotomic integer."""
         d = t.d
-        counts = [0] * d
-        i0, i1, i2 = t.i0, t.i1, t.i2
-        for e0, e1, e2 in self.exponent_triples():
-            counts[-(i0 * e0 + i1 * e1 + i2 * e2) % d] += 1
-        return CycElt(d, counts)
+        counts = np.bincount(-(self.exps @ (t.i0, t.i1, t.i2)) % d, minlength=d)
+        return CycElt(d, counts.tolist())
 
 
 def build_intersections(ctx: FieldCtx, L: Line) -> IntersectionSet:
-    """Enumerate I_L by the closed form and verify its counting invariants.
+    """Enumerate I_L by the closed form, as nu-exponent rows, and verify its
+    counting invariants.
 
-    three_entry: for each nontrivial d-th root z, the four normalized
-    representatives (z,1,1), (1,z,1), (1,1,z), (z^-1,z^-1,z^-1).
-    gamma_indexed: for each gamma with trace(gamma) != 0, the inverse of
-    [-gamma^(q-1) : 1 : -(a*gamma+b)^(q-1) : (a+b*gamma)^(q-1)].
+    The three-entry block holds, for each nontrivial d-th root z, the four
+    normalized representatives (z,1,1), (1,z,1), (1,1,z), (z^-1,z^-1,z^-1).
+    The gamma block holds, for each gamma with trace(gamma) != 0, the
+    inverse of [-gamma^(q-1) : 1 : -(a*gamma+b)^(q-1) : (a+b*gamma)^(q-1)].
+    With l = dlog, x^(q-1) = g_d^l(x) and -1 = g_d^(d/2), so t_gamma is the
+    row (-(d/2 + l(gamma) - l(a+b gamma)), l(a+b gamma),
+    -(d/2 + l(a gamma+b) - l(a+b gamma))) mod d, and trace(gamma) != 0 is
+    exactly gamma != 0 with l(gamma) != d/2 mod d.  a*gamma + b is read as
+    a*(gamma + b/a) and a + b*gamma as b*(gamma + a/b), with both sums
+    taken digit by digit over the whole code array (FieldCtx.shift_codes).
 
-    Raises ContradictionError if any element repeats, the identity shows
-    up, or the cardinalities are off — all of which are proved impossible.
+    Raises ContradictionError if a*gamma + b or a + b*gamma vanishes, any
+    element repeats, the identity shows up, or the cardinalities are off --
+    all of which are proved impossible.
     """
-    d = ctx.d
-    one = ctx.one
-    q1 = ctx.q - 1
-    zroots = [ctx.elem(int(ctx.exp[q1 * m])) for m in range(1, d)]
+    q, d = ctx.q, ctx.d
+    half = d // 2
+    m = np.arange(1, d, dtype=np.int64)
+    three = np.zeros((d - 1, 4, 3), dtype=np.int64)
+    for j in range(3):
+        three[:, j, j] = m
+    three[:, 3, :] = (d - m)[:, None]
+    three = three.reshape(-1, 3)
 
-    three_entry = []
-    for z in zroots:
-        zi = z.inverse()
-        three_entry.append(TorusElt(z, one, one))
-        three_entry.append(TorusElt(one, z, one))
-        three_entry.append(TorusElt(one, one, z))
-        three_entry.append(TorusElt(zi, zi, zi))
-
-    a, b = L.a, L.b
-    gamma_indexed = {}
-    for gamma in ctx.elements():
-        if gamma + frobenius(ctx, gamma) == 0:
-            continue
-        t_inv = TorusElt.from_quad(
-            -(gamma**q1),
-            one,
-            -((a * gamma + b) ** q1),
-            (a + b * gamma) ** q1,
+    # codes 1.. with dlog(gamma) != d/2 mod d: the gammas of nonzero trace
+    gammas = np.flatnonzero(ctx.dlog[1:] % d != half).astype(np.int64) + 1
+    n = q * q - 1
+    la, lb = L.a.dlog, L.b.dlog
+    shifted_ab = ctx.shift_codes(gammas, int(ctx.exp[(lb - la) % n]))  # gamma + b/a
+    shifted_ba = ctx.shift_codes(gammas, int(ctx.exp[(la - lb) % n]))  # gamma + a/b
+    if not (shifted_ab.all() and shifted_ba.all()):
+        raise ContradictionError(
+            f"a*gamma + b or a + b*gamma vanished at a gamma of nonzero trace (q={q})"
         )
-        gamma_indexed[gamma] = t_inv.inverse()
+    l_g = ctx.dlog[gammas].astype(np.int64)
+    l_agb = la + ctx.dlog[shifted_ab].astype(np.int64)  # l(a*gamma + b)
+    l_abg = lb + ctx.dlog[shifted_ba].astype(np.int64)  # l(a + b*gamma)
+    gamma_rows = np.stack(
+        (-(half + l_g - l_abg), l_abg, -(half + l_agb - l_abg)), axis=1
+    ) % d
 
-    iset = IntersectionSet(three_entry, gamma_indexed)
-    q = ctx.q
-    if len(three_entry) != 4 * (d - 1):
+    if len(three) != 4 * (d - 1):
         raise ContradictionError("three-entry family has the wrong size")
-    if len(gamma_indexed) != q * q - q:
+    if len(gamma_rows) != q * q - q:
         raise ContradictionError("gamma family has the wrong size")
-    seen = set(iset.all_elements())
-    if len(seen) != len(iset):
+    exps = np.concatenate((three, gamma_rows))
+    # sorted keys e0 d^2 + e1 d + e2: a repeated row shows as equal
+    # neighbours (np.unique would do, but imports numpy.ma on first use)
+    keys = np.sort(exps @ (d * d, d, 1))
+    if (keys[1:] == keys[:-1]).any():
         raise ContradictionError("repetition inside I_L")
-    if TorusElt.identity(ctx) in seen:
+    if not keys.all():
         raise ContradictionError("identity appeared in I_L")
-    return iset
+    return IntersectionSet(ctx, exps, gammas)
 
 
 def geometric_intersection_oracle(ctx: FieldCtx, L: Line, t: TorusElt) -> int:

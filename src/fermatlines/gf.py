@@ -360,18 +360,22 @@ class FieldCtx:
 
     # -- vectorized sweep support -------------------------------------------
 
-    def add_perm(self, c_code: int) -> np.ndarray:
-        """Permutation array P with P[x] = code of (x + c), for all codes x.
-
-        Only the F_{q^2} reference sweep of ``charsum`` uses it.  The base-p
-        digits of every code are recomputed on each call; nothing is cached.
-        """
-        codes = np.arange(self.q * self.q, dtype=np.int64)
+    def shift_codes(self, codes: np.ndarray, c_code: int) -> np.ndarray:
+        """Codes of x + c for every code x in the int64 array codes, digit
+        by digit; the digits are recomputed on each call."""
         shifted = np.zeros_like(codes)
         for i, c_dig in enumerate(self.decode(c_code)):
             unit = self._pows[i]
             shifted += (codes // unit + c_dig) % self.p * unit
         return shifted
+
+    def add_perm(self, c_code: int) -> np.ndarray:
+        """Permutation array P with P[x] = code of (x + c), for all codes x.
+
+        Only the F_{q^2} reference sweep of ``charsum`` uses it; nothing is
+        cached.
+        """
+        return self.shift_codes(np.arange(self.q * self.q, dtype=np.int64), c_code)
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, k={self.k}, q={self.q})"

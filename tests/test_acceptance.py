@@ -22,6 +22,7 @@ import functools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fermatlines.certify import (
@@ -273,7 +274,9 @@ def test_criterion_06_dual_route_inner_products():
                 1, d
             )
             iset = build_intersections(ctx, L)
-            three_only = IntersectionSet(iset.three_entry, {})
+            three_only = IntersectionSet(
+                ctx, iset.exps[: 4 * (d - 1)], np.empty(0, dtype=np.int64)
+            )
             for t in w_tuples(d)[1:]:
                 # compare the two routes at the exact cyclotomic level
                 left = iset.lambda_inv_sum(t) + (2 - d)

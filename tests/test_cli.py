@@ -7,10 +7,16 @@ mathematical contradiction, 2 = usage error.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from fermatlines.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -328,6 +334,32 @@ def test_missing_subcommand_is_usage_error(capsys):
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["rank", "--p", "7", "--bogus"]) == 2
     assert main(["rank", "--p", "7", "--threads", "4"]) == 2
+
+
+def test_calls_in_one_process_match_fresh_processes(capsys):
+    # the parser is built once per process and shared by every call, so a
+    # parse error must leave nothing behind for the next call
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    results = []
+    for argv in (
+        ["certify", "--p", "7", "--format", "json"],
+        ["certify", "--p", "7", "--bogus"],
+        ["rank", "--p", "11"],
+    ):
+        rc = main(list(argv))
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "fermatlines.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (rc, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        ), argv
+        results.append((rc, captured))
+    assert [rc for rc, _ in results] == [0, 2, 0]
+    assert results[1][1].err.startswith("usage: fermatlines ")
+    assert "unrecognized arguments: --bogus" in results[1][1].err
+    assert results[2][1].out == "q = 11: expected rank 9\n"
 
 
 def test_invalid_field_is_usage_error(capsys):

@@ -1,10 +1,12 @@
 """Line/torus/intersection tests: closed-form I_L enumeration against the
-brute-force geometric oracle, the two inner-product routes against each
-other, and the counting lemmas against their formula values."""
+brute-force geometric oracle and against the scalar closed form, the two
+inner-product routes against each other, and the counting lemmas against
+their formula values."""
 
 import importlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fermatlines.charsum import ExponentTuple
@@ -23,7 +25,15 @@ from fermatlines.fermat import (
     lines_for_c,
     w_tuples,
 )
-from fermatlines.gf import NonRationalError, find_ab_pairs, frobenius, in_mu_d, make_field
+from fermatlines.gf import (
+    ContradictionError,
+    FieldCtx,
+    NonRationalError,
+    find_ab_pairs,
+    frobenius,
+    in_mu_d,
+    make_field,
+)
 
 fermat_mod = importlib.import_module("fermatlines.fermat")
 
@@ -143,6 +153,73 @@ def test_nu_exponents():
 # ----------------------------------------------------------------------------
 # intersection enumeration
 # ----------------------------------------------------------------------------
+
+
+def reference_intersections(ctx, L):
+    """I_L by the closed form in scalar FqElem arithmetic: the three-entry
+    list and the dict gamma -> t_gamma, gammas by ascending code.  The
+    reference for the dlog-row route of ``build_intersections``."""
+    one = ctx.one
+    q1 = ctx.q - 1
+    three_entry = []
+    for z in mu_d_elements(ctx)[1:]:
+        zi = z.inverse()
+        three_entry.append(TorusElt(z, one, one))
+        three_entry.append(TorusElt(one, z, one))
+        three_entry.append(TorusElt(one, one, z))
+        three_entry.append(TorusElt(zi, zi, zi))
+    a, b = L.a, L.b
+    gamma_indexed = {}
+    for gamma in ctx.elements():
+        if gamma + frobenius(ctx, gamma) == 0:
+            continue
+        t_inv = TorusElt.from_quad(
+            -(gamma**q1),
+            one,
+            -((a * gamma + b) ** q1),
+            (a + b * gamma) ** q1,
+        )
+        gamma_indexed[gamma] = t_inv.inverse()
+    return three_entry, gamma_indexed
+
+
+@pytest.mark.parametrize(
+    "p,k",
+    [
+        (5, 1),
+        (7, 1),
+        (13, 1),
+        (5, 2),
+        pytest.param(11, 2, marks=pytest.mark.extended),
+        pytest.param(5, 3, marks=pytest.mark.extended),
+    ],
+)
+def test_build_intersections_matches_scalar_reference(p, k):
+    # row by row, gamma by gamma: I_L is closed under inversion, so a
+    # comparison of multisets would miss a dropped negation
+    ctx = make_field(p, k)
+    n3 = 4 * (ctx.d - 1)
+    for a, b in find_ab_pairs(ctx):
+        L = Line(ctx, a, b)
+        iset = build_intersections(ctx, L)
+        three_entry, gamma_indexed = reference_intersections(ctx, L)
+        assert iset.exps[:n3].tolist() == [list(t.nu_exponents()) for t in three_entry]
+        assert iset.gammas.tolist() == [g.code for g in gamma_indexed]
+        for row, t in zip(iset.exps[n3:].tolist(), gamma_indexed.values()):
+            assert tuple(row) == t.nu_exponents(), (p, k, L)
+        assert len(iset.exps) == n3 + len(gamma_indexed)
+
+
+def test_build_intersections_checks_raise(monkeypatch):
+    ctx = make_field(7)
+    L = line_for_thm1(ctx)
+    # a zero a*gamma + b would otherwise read dlog[0] = -1 as an exponent
+    monkeypatch.setattr(FieldCtx, "shift_codes", lambda self, codes, c: np.zeros_like(codes))
+    with pytest.raises(ContradictionError, match="vanished"):
+        build_intersections(ctx, L)
+    monkeypatch.setattr(FieldCtx, "shift_codes", lambda self, codes, c: np.ones_like(codes))
+    with pytest.raises(ContradictionError, match="repetition"):
+        build_intersections(ctx, L)
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
@@ -270,7 +347,7 @@ def test_sum_of_minus_four():
     L = line_for_thm1(ctx)
     iset = build_intersections(ctx, L)
     d = ctx.d
-    partial = IntersectionSet(iset.three_entry, {})
+    partial = IntersectionSet(ctx, iset.exps[: 4 * (d - 1)], np.empty(0, dtype=np.int64))
     for t in w_tuples(d)[1:]:
         assert partial.lambda_inv_sum(t).equals_integer(-4)
     # also for non-w-type all-nonzero tuples
@@ -302,6 +379,21 @@ def test_direct_numerator_builds_I_L_once_per_line(monkeypatch):
             assert direct_numerator(ctx, L, t) == iset.lambda_inv_sum(t) + (2 - ctx.d)
     # one build per run of tuples on a line; only the last line is kept
     assert builds == [first, second, first]
+    fermat_mod._intersections_of.cache_clear()
+
+
+def test_direct_numerator_builds_no_torus_element(monkeypatch):
+    ctx = make_field(7)
+
+    def refuse(self, *args):
+        raise AssertionError("a TorusElt was built")
+
+    monkeypatch.setattr(TorusElt, "__init__", refuse)
+    fermat_mod._intersections_of.cache_clear()
+    for a, b in find_ab_pairs(ctx):
+        L = Line(ctx, a, b)
+        for t in w_tuples(ctx.d)[1:]:
+            assert direct_numerator(ctx, L, t) == charsum_numerator(ctx, L, t)
     fermat_mod._intersections_of.cache_clear()
 
 
