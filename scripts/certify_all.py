@@ -33,11 +33,18 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     print(f"{'q':>5} {'rank':>5} {'verdict':<22} {'lines':>5}  uncovered orbits")
     for token in filter(None, args.fields.split(",")):
-        pk = prime_power(int(token))
+        try:
+            pk = prime_power(int(token))
+        except ValueError:
+            pk = None
         if pk is None or pk[0] == 2:
             print(f"not an odd prime power: {token}", file=sys.stderr)
             return 2
-        ctx = make_field(*pk)
+        try:
+            ctx = make_field(*pk)
+        except ValueError as e:  # characteristic 3 or over the size cap
+            print(f"error: {e}", file=sys.stderr)
+            return 2
         cert = certify(ctx)
         uncovered = [
             e.tuple.i0

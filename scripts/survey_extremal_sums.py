@@ -44,9 +44,15 @@ def is_prime(n: int) -> bool:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    if args.order < 3:
+        print(f"error: --order must be at least 3, got {args.order}", file=sys.stderr)
+        return 2
     fields = [(p, 1) for p in range(7, args.upto + 1) if p % 4 == 3 and is_prime(p)]
     for token in filter(None, args.fields.split(",")):
-        pk = prime_power(int(token))
+        try:
+            pk = prime_power(int(token))
+        except ValueError:
+            pk = None
         if pk is None:
             print(f"not a prime power: {token}", file=sys.stderr)
             return 2
@@ -55,7 +61,11 @@ def main(argv=None) -> int:
     print(f"order-{args.order} character, S_c = sum of chi(x(x+1)(x+c))")
     print(f"{'q':>6} {'N':>5} {'(3q-9)/4':>9}  attains  -2q attainers")
     for p, k in fields:
-        ctx = make_field(p, k)
+        try:
+            ctx = make_field(p, k)
+        except ValueError as e:  # characteristic below 5 or over the size cap
+            print(f"error: {e}", file=sys.stderr)
+            return 2
         if ctx.d % args.order:
             print(f"{ctx.q:>6}  (order {args.order} does not divide d = {ctx.d})")
             continue

@@ -4,8 +4,8 @@ points on y^2 + x*y - t^d*y = x^3 over F_{q^2}(t), with d = q + 1.
 Everything is integer/table arithmetic: no floating point, no tolerances.
 Character sums land in the cyclotomic ring Z[zeta_d] and are compared
 exactly; Neron-Severi inner products are exact rationals computed by two
-independent routes; full-rank generation certificates are machine-checked
-by reduction mod an inert prime.
+independent routes; a full-rank generation certificate records, for every
+character orbit, a witness c whose exact sum S_c differs from 2q.
 """
 
 from .charsum import (

@@ -180,7 +180,7 @@ def certify(ctx: FieldCtx) -> Certificate:
         canon = _canon_rows(d, counts)
         one_mod_3 = _one_mod_3(canon) if single_line else [True] * len(canon)
         canon = canon.tolist()  # frees the matrix before the elements are built
-        return zip(CycElt.from_canon_rows(d, counts, canon), one_mod_3)
+        return ((CycElt._from_canon(d, row), m3) for row, m3 in zip(canon, one_mod_3))
 
     # the scan: each candidate c sweeps one histogram of (1, 1, 1) and one
     # batch covers the representatives of the orbits still without a witness

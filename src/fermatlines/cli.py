@@ -13,7 +13,7 @@ Output contract
   representatives (coefficients shown in (-p/2, p/2]).
 
 Exit codes: 0 success; 1 a mathematical contradiction (a certified identity
-or descent failed); 2 usage error (bad arguments or violated precondition).
+failed); 2 usage error (bad arguments or violated precondition).
 
 Field elements are entered as plain integers (prime subfield) or as
 comma-separated coordinate vectors ``c0,c1,...`` of length 2k over F_p.

@@ -1,11 +1,11 @@
 """Exact arithmetic in the cyclotomic integer ring Z[zeta_d].
 
-Character sums live here.  An element is carried in two forms at once:
-
-    counts: length-d integer vector, entry j = coefficient of zeta_d^j in a
-            group-ring representative (the multiset of accumulated terms);
-    canon:  the remainder of sum_j counts[j] x^j modulo Phi_d(x) over Z,
-            a length-phi(d) integer vector, low degree first.
+Character sums live here.  An element is stored in one form, canon: the
+remainder of sum_j counts[j] x^j modulo Phi_d(x) over Z, a length-phi(d)
+integer vector, low degree first, for a length-d counts vector whose entry
+j is the coefficient of zeta_d^j in a group-ring representative (the
+multiset of accumulated terms).  canon is the unique representative in
+Z[x]/(Phi_d), so equality of CycElts is equality of canon.
 
 canon is counts @ R_d, where row j of the d x phi(d) matrix R_d is
 x^j mod Phi_d; R_d is built once per d.  Its first phi rows are the
@@ -14,12 +14,13 @@ for a whole (n, d) matrix of counts rows at once.  A row takes the int64
 product when sum |counts| * max |R_d| < 2^63 and the exact Python-int
 product otherwise.  It is the one reduction route: ``CycElt`` reduces its
 counts as a one-row matrix, and ``CycElt.batch`` builds the elements of
-many rows from one call (``CycElt.from_canon_rows`` when the caller has
-reduced them).
+many rows from one call.
 
-canon is the unique representative in Z[x]/(Phi_d), so equality of CycElts
-is equality of canon.  counts is kept because the Galois action (and in
-particular complex conjugation) permutes indices, which is cheap and exact.
+Sums, differences and integer multiples of reduced vectors are reduced, so
+those ring operations act on canon alone.  The product, the Galois action
+zeta_d -> zeta_d^u (a permutation of indices mod d) and ``accumulate`` read
+canon as the counts vector that is zero past phi (x^j mod Phi_d is x^j for
+j < phi), fold their indices mod d, and reduce once.
 
 Everything is integer arithmetic; there is no numerical embedding anywhere.
 """
@@ -141,7 +142,7 @@ def _canon_rows(d: int, counts: np.ndarray) -> np.ndarray:
 class CycElt:
     """An element of Z[zeta_d]; value semantics, hashable, immutable."""
 
-    __slots__ = ("d", "counts", "canon")
+    __slots__ = ("d", "canon")
 
     def __init__(self, d: int, counts):
         counts = tuple(map(int, counts))
@@ -152,10 +153,16 @@ class CycElt:
         except OverflowError:
             row = np.array([counts], dtype=object)
         self.d = d
-        self.counts = counts
         self.canon = tuple(_canon_rows(d, row)[0].tolist())
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def _from_canon(cls, d: int, canon) -> "CycElt":
+        """The element whose canon is the already reduced row canon."""
+        elt = cls.__new__(cls)
+        elt.d, elt.canon = d, tuple(canon)
+        return elt
 
     @classmethod
     def batch(cls, d: int, counts: np.ndarray) -> list["CycElt"]:
@@ -163,19 +170,7 @@ class CycElt:
         reduced by one ``_canon_rows`` call."""
         if counts.ndim != 2 or counts.shape[1] != d:
             raise ValueError(f"counts must be an (n, d = {d}) matrix")
-        return cls.from_canon_rows(d, counts, _canon_rows(d, counts).tolist())
-
-    @classmethod
-    def from_canon_rows(cls, d: int, counts: np.ndarray, canon: list) -> list["CycElt"]:
-        """One element per row of counts, given canon = _canon_rows(d, counts)
-        as a list of rows, for callers that also read the canon matrix; it
-        is taken as a list so that the matrix can be freed first."""
-        out = []
-        for row, reduced in zip(counts.tolist(), canon):
-            elt = cls.__new__(cls)
-            elt.d, elt.counts, elt.canon = d, tuple(row), tuple(reduced)
-            out.append(elt)
-        return out
+        return [cls._from_canon(d, row) for row in _canon_rows(d, counts).tolist()]
 
     @classmethod
     def zero(cls, d: int) -> "CycElt":
@@ -206,30 +201,30 @@ class CycElt:
         if isinstance(other, int):
             other = CycElt.from_int(self.d, other)
         self._check(other)
-        return CycElt(self.d, [a + b for a, b in zip(self.counts, other.counts)])
+        return CycElt._from_canon(self.d, [a + b for a, b in zip(self.canon, other.canon)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycElt(self.d, [-a for a in self.counts])
+        return CycElt._from_canon(self.d, [-a for a in self.canon])
 
     def __sub__(self, other):
         if isinstance(other, int):
             other = CycElt.from_int(self.d, other)
         self._check(other)
-        return CycElt(self.d, [a - b for a, b in zip(self.counts, other.counts)])
+        return CycElt._from_canon(self.d, [a - b for a, b in zip(self.canon, other.canon)])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycElt(self.d, [a * other for a in self.counts])
+            return CycElt._from_canon(self.d, [a * other for a in self.canon])
         self._check(other)
         out = [0] * self.d
-        for i, a in enumerate(self.counts):
+        for i, a in enumerate(self.canon):
             if a:
-                for j, b in enumerate(other.counts):
+                for j, b in enumerate(other.canon):
                     if b:
                         out[(i + j) % self.d] += a * b
         return CycElt(self.d, out)
@@ -245,7 +240,7 @@ class CycElt:
         if gcd(u, self.d) != 1:
             raise ValueError(f"{u} is not a unit mod {self.d}")
         out = [0] * self.d
-        for j, a in enumerate(self.counts):
+        for j, a in enumerate(self.canon):
             out[u * j % self.d] += a
         return CycElt(self.d, out)
 
@@ -311,7 +306,7 @@ def accumulate(s: CycElt, e) -> CycElt:
     """Add one term zeta_d^e to s; e = None (the zero marker) adds nothing."""
     if e is None:
         return s
-    counts = list(s.counts)
+    counts = list(s.canon) + [0] * (s.d - len(s.canon))
     counts[e % s.d] += 1
     return CycElt(s.d, counts)
 

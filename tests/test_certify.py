@@ -16,6 +16,8 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermatlines import (
     FULL_RANK_CERTIFIED,
@@ -34,6 +36,7 @@ from fermatlines import (
     w_tuples,
 )
 from fermatlines.charsum import ExponentTuple
+from fermatlines.cyc import cyclotomic_poly
 
 certify_mod = importlib.import_module("fermatlines.certify")
 charsum_mod = importlib.import_module("fermatlines.charsum")
@@ -378,6 +381,29 @@ def test_certify_mod3_failure_is_a_contradiction(monkeypatch):
     msg = str(err.value)
     assert f"mod-3 obstruction failed at q=19 for tuple (1, 1, 1, 17), c={c.dlog}" in msg
     assert "expected S = 1 mod 3, got S = [0" in msg
+
+
+@pytest.mark.parametrize("d", [8, 12, 20, 72])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batched_mod3_flags_match_is_one_mod_3(d, data):
+    # certify's flags over a canon matrix against charsum's predicate on one
+    # element.  Each row is 3 * base plus (r, 0, ..., 0) or a small residue
+    # row, both with negative entries; base entries past 2^63 make an object
+    # matrix.
+    phi = len(cyclotomic_poly(d)) - 1
+    big = data.draw(st.booleans(), label="object rows")
+    bound = 2**70 if big else 2**60
+    base = st.lists(st.integers(-bound, bound), min_size=phi, max_size=phi)
+    residue = st.one_of(
+        st.integers(-4, 4).map(lambda r: [r] + [0] * (phi - 1)),
+        st.lists(st.integers(-4, 4), min_size=phi, max_size=phi),
+    )
+    row = st.builds(lambda b, r: [3 * x + y for x, y in zip(b, r)], base, residue)
+    rows = data.draw(st.lists(row, min_size=1, max_size=8), label="rows")
+    canon = np.array(rows, dtype=object if big else np.int64)
+    expected = [charsum_mod.is_one_mod_3(CycElt(d, r + [0] * (d - phi))) for r in rows]
+    assert certify_mod._one_mod_3(canon) == expected
 
 
 # ----------------------------------------------------------------------------

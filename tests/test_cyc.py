@@ -1,6 +1,8 @@
 """Cyclotomic-ring tests: Phi_d correctness against an independent oracle,
 ring axioms, Galois action, realness, and ideal-class reduction."""
 
+from math import gcd
+
 import numpy as np
 import pytest
 import sympy
@@ -159,7 +161,6 @@ def test_canon_rows_and_batch_match_per_row_elements(d, data):
     assert [tuple(c) for c in _canon_rows(d, counts).tolist()] == expected
     batch = CycElt.batch(d, counts)
     assert batch == [CycElt(d, r) for r in rows]
-    assert [e.counts for e in batch] == [tuple(r) for r in rows]
     assert [e.canon for e in batch] == expected
 
 
@@ -223,6 +224,37 @@ def test_galois_is_ring_hom(a, b, u):
     assert galois_apply(a * b, u) == galois_apply(a, u) * galois_apply(b, u)
 
 
+@pytest.mark.parametrize("d", [8, 12, 14, 200])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_canon_ring_ops_match_the_full_length_route(d, data):
+    # product, Galois action and accumulate read only canon; the reference
+    # works on the full length-d counts vectors (cyclic convolution,
+    # index permutation, +1 at e) and reduces by polynomial division.
+    # Entries past 2^63 send the reduction down the Python-int product.
+    bound = data.draw(st.sampled_from([9, 2**70]), label="bound")
+    vec = st.lists(st.integers(-bound, bound), min_size=d, max_size=d)
+    ca, cb = data.draw(vec, label="a"), data.draw(vec, label="b")
+    a, b = CycElt(d, ca), CycElt(d, cb)
+
+    conv = [0] * d
+    for i, x in enumerate(ca):
+        for j, y in enumerate(cb):
+            conv[(i + j) % d] += x * y
+    assert (a * b).canon == _division_canon(d, conv)
+
+    u = data.draw(st.sampled_from([u for u in range(1, d) if gcd(u, d) == 1]), label="u")
+    perm = [0] * d
+    for j, x in enumerate(ca):
+        perm[u * j % d] += x
+    assert a.galois(u).canon == _division_canon(d, perm)
+
+    e = data.draw(st.integers(-2 * d, 2 * d), label="e")
+    plus = list(ca)
+    plus[e % d] += 1
+    assert accumulate(a, e).canon == _division_canon(d, plus)
+
+
 def test_galois_identity_and_integers():
     a = CycElt(14, range(14))
     assert galois_apply(a, 1) == a
@@ -252,8 +284,7 @@ def test_is_real_examples():
 
 def test_conjugation_reverses_counts():
     s = CycElt(8, (1, 2, 3, 4, 5, 6, 7, 8))
-    conj = galois_apply(s, 7)
-    assert conj.counts == (1, 8, 7, 6, 5, 4, 3, 2)
+    assert galois_apply(s, 7) == CycElt(8, (1, 8, 7, 6, 5, 4, 3, 2))
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,6 +4,8 @@ prints its known output lines."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -27,6 +29,26 @@ def test_certify_all(capsys):
 def test_certify_all_rejects_non_prime_power(capsys):
     assert load("certify_all").main(["--fields", "12"]) == 2
     assert "not an odd prime power: 12" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["9", "2003", "x"])
+def test_certify_all_rejects_bad_fields_with_usage_exit(capsys, token):
+    # characteristic 3, over the size cap, not an integer: exit 2, not a
+    # traceback (exit 1 is reserved for a mathematical contradiction)
+    assert load("certify_all").main(["--fields", token]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() and "\n" not in err.strip()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--fields", "9"], ["--fields", "4"], ["--fields", "2003"], ["--order", "2"]],
+    ids=["fields-9", "fields-4", "fields-2003", "order-2"],
+)
+def test_survey_extremal_sums_rejects_bad_input_with_usage_exit(capsys, argv):
+    assert load("survey_extremal_sums").main(["--upto", "0", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() and "\n" not in err.strip()
 
 
 def test_survey_extremal_sums(capsys):
