@@ -5,7 +5,8 @@ For each q the certificate checks, orbit by orbit, whether some
 admissible c gives S_{c} != 2q — equivalently whether the line family
 projects nontrivially onto every relevant character eigenspace.  The
 table reports the verdict, the number of distinct lines (c values) the
-verified witnesses use, and any uncovered character orbits.
+verified witnesses use, and any uncovered character orbits.  Every field
+is checked against make_field's limits before any output.
 
 Examples:
     python3 scripts/certify_all.py
@@ -16,7 +17,7 @@ import argparse
 import sys
 
 from fermatlines.certify import certify, expected_rank
-from fermatlines.gf import make_field, prime_power
+from fermatlines.gf import check_field, make_field, prime_power
 
 
 def parse_args(argv=None):
@@ -31,7 +32,7 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    print(f"{'q':>5} {'rank':>5} {'verdict':<22} {'lines':>5}  uncovered orbits")
+    fields = []
     for token in filter(None, args.fields.split(",")):
         try:
             pk = prime_power(int(token))
@@ -41,10 +42,15 @@ def main(argv=None) -> int:
             print(f"not an odd prime power: {token}", file=sys.stderr)
             return 2
         try:
-            ctx = make_field(*pk)
+            check_field(*pk)
         except ValueError as e:  # characteristic 3 or over the size cap
             print(f"error: {e}", file=sys.stderr)
             return 2
+        fields.append(pk)
+
+    print(f"{'q':>5} {'rank':>5} {'verdict':<22} {'lines':>5}  uncovered orbits")
+    for pk in fields:
+        ctx = make_field(*pk)
         cert = certify(ctx)
         uncovered = [
             e.tuple.i0

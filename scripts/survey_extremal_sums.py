@@ -2,10 +2,13 @@
 """Reproduce the extremal-sum survey: N = #{c : S_c = +2q} against (3q-9)/4.
 
 For every prime p = 3 mod 4 in the requested range (and any explicitly
-listed prime powers), sweep all c in F_q with the order-4 character and
+listed prime powers), survey every c in F_q with the order-4 character and
 report how many c attain the upper extremum +2q, next to the exact bound
-(3q-9)/4.  The -2q attainers are listed as well; for primes they are
-exactly the c with c a nonsquare and c - 1 a nonzero square.
+(3q-9)/4.  S_c is computed for one c per orbit of c -> 1/c, c -> 1 - c and
+c -> c^p, on which its value is constant (see charsum.survey_N).  The -2q
+attainers are listed as well; for primes they are exactly the c with c a
+nonsquare and c - 1 a nonzero square.  Every field is checked against
+make_field's limits before any output.
 
 Examples:
     python3 scripts/survey_extremal_sums.py
@@ -17,7 +20,7 @@ import argparse
 import sys
 
 from fermatlines.charsum import survey_N
-from fermatlines.gf import make_field, prime_power
+from fermatlines.gf import check_field, make_field, prime_power
 
 
 def parse_args(argv=None):
@@ -57,15 +60,17 @@ def main(argv=None) -> int:
             print(f"not a prime power: {token}", file=sys.stderr)
             return 2
         fields.append(pk)
+    for p, k in fields:
+        try:
+            check_field(p, k)
+        except ValueError as e:  # characteristic below 5 or over the size cap
+            print(f"error: {e}", file=sys.stderr)
+            return 2
 
     print(f"order-{args.order} character, S_c = sum of chi(x(x+1)(x+c))")
     print(f"{'q':>6} {'N':>5} {'(3q-9)/4':>9}  attains  -2q attainers")
     for p, k in fields:
-        try:
-            ctx = make_field(p, k)
-        except ValueError as e:  # characteristic below 5 or over the size cap
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+        ctx = make_field(p, k)
         if ctx.d % args.order:
             print(f"{ctx.q:>6}  (order {args.order} does not divide d = {ctx.d})")
             continue

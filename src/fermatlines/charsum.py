@@ -30,6 +30,9 @@ character exponents, as an element of Z[zeta_d]:
   ``survey_N`` and ``quadratic_identity_check`` reduce the counts of
   _BLOCK_ROWS values of c at a time in Z[zeta_d] (``cyc._canon_rows``) and
   read the integer value off the canon rows, with no CycElt per c.
+  ``survey_N`` sweeps one c per orbit of c -> 1/c, c -> 1 - c and
+  c -> c^p (see ``orbit``), plus c = 0 and c = 1, and copies each
+  representative's integer value to its whole orbit.
 - ``_sweep_counts`` sweeps all q^2 codes of F_{q^2}: per-code exponent
   tables for x, x+1, x+c are combined mod d and bucketed with bincount.
   It is the independent reference, used only by ``certify_general`` and
@@ -374,8 +377,17 @@ def sum_over_c(ctx: FieldCtx, t: ExponentTuple) -> CycElt:
 def orbit(c: FqElem) -> set[FqElem]:
     """The fractional-linear orbit {c, 1/c, 1-c, 1-1/c, 1/(1-c), 1/(1-1/c)}.
 
-    S_c is constant on this orbit for w-type tuples.  Size 6 generically;
-    smaller when values coincide (c = 2 gives the 3-element case).
+    S_c is constant on this orbit for w-type tuples (i, i, i, -3i): chi is
+    trivial on F_q*, so x -> c x gives S_c = S_{1/c}, and x -> -1 - x gives
+    S_c = S_{1-c}.  Size 6 generically; smaller when values coincide (c = 2
+    gives the 3-element case).
+
+    The p-power Frobenius joins these orbits further: x -> x^p permutes
+    F_{q^2} and chi(x^p) = chi(x)^p, so S_{c^p} = sigma_p(S_c) with sigma_p
+    the automorphism zeta_d -> zeta_d^p (gcd(p, d) = 1).  sigma_p fixes
+    every integer, so whether S_c is rational, and its value if so, is
+    constant on the union of the orbits of c, c^p, c^(p^2), ...  (see
+    ``_survey_orbits``).
     """
     if not c.in_fq:
         raise ValueError("c must lie in F_q")
@@ -409,15 +421,41 @@ def admissible_values(ctx: FieldCtx) -> list[FqElem]:
     """All admissible c (see ``is_admissible``), ordered by ascending dlog
     (the deterministic scan order used by certificate searches).  For
     q = 1 mod 4 the count is exactly (q-1)/4.
+
+    One pass over F_q* in dlog order: c = g^(d m) is a nonsquare exactly
+    when m is odd, and c - 1 comes from ``shift_codes``.
     """
-    out = [c for c in ctx.fq_elements() if is_admissible(c)]
-    out.sort(key=lambda c: c.dlog)
-    return out
+    d = ctx.d
+    codes = ctx.exp[::d].astype(np.int64)  # codes[m] = g^(d m)
+    cm1 = ctx.shift_codes(codes, ctx.neg_code(1))
+    nonsquare = np.arange(len(codes)) % 2 == 1
+    keep = nonsquare & (cm1 != 0) & (ctx.dlog[cm1] // d % 2 == 0)
+    return [FqElem(ctx, code) for code in codes[keep].tolist()]
 
 
 # ----------------------------------------------------------------------------
 # extremal survey
 # ----------------------------------------------------------------------------
+
+
+def _survey_orbits(ctx: FieldCtx) -> dict[int, FqElem]:
+    """Map each code of F_q to the representative of its orbit under the
+    group generated by c -> 1/c, c -> 1 - c and c -> c^p.
+
+    0 and 1 are their own representatives; any other orbit is the union of
+    ``orbit`` over c, c^p, ..., c^(p^(k-1)) (Frobenius commutes with the
+    fractional-linear maps), represented by its smallest code.
+    """
+    rep = {0: ctx.zero, 1: ctx.one}
+    for c in ctx.fq_elements():
+        if c.code in rep:
+            continue
+        conj = c
+        for _ in range(ctx.k):
+            for m in orbit(conj):
+                rep[m.code] = c
+            conj = conj ** ctx.p
+    return rep
 
 
 def survey_N(ctx: FieldCtx, order: int):
@@ -428,17 +466,26 @@ def survey_N(ctx: FieldCtx, order: int):
     (N, hits, misses_sign): the count, the c attaining +2q, and the c
     attaining -2q, each list in ascending element-code order.  The bound
     4N <= 3q - 9 is asserted (ContradictionError on violation).
+
+    Only c = 0, c = 1 and one c per orbit of c -> 1/c, c -> 1 - c and
+    c -> c^p are swept (``_survey_orbits``); the integer value of S_c, or
+    its absence, is the same on a whole orbit (see ``orbit``).
     """
     d = ctx.d
     if order <= 2 or d % order != 0:
         raise ValueError(f"order must divide d = {d} and exceed 2")
     e = d // order
     q = ctx.q
+    rep = _survey_orbits(ctx)
+    reps = [c for c in ctx.fq_elements() if rep[c.code] == c]
+    sweep = _PlaneSweep(ctx, e, e, e)
+    value = {c.code: v for c, v in _integer_values(sweep, reps)}
     hits, misses = [], []
-    for c, value in _integer_values(_PlaneSweep(ctx, e, e, e), list(ctx.fq_elements())):
-        if value == 2 * q:
+    for c in ctx.fq_elements():
+        v = value[rep[c.code].code]
+        if v == 2 * q:
             hits.append(c)
-        elif value == -2 * q:
+        elif v == -2 * q:
             misses.append(c)
     N = len(hits)
     if 4 * N > 3 * q - 9:

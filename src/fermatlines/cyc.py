@@ -174,13 +174,13 @@ class CycElt:
 
     @classmethod
     def zero(cls, d: int) -> "CycElt":
-        return cls(d, (0,) * d)
+        return cls.from_int(d, 0)
 
     @classmethod
     def from_int(cls, d: int, m: int) -> "CycElt":
-        counts = [0] * d
-        counts[0] = m
-        return cls(d, counts)
+        """The integer m, whose canon (m, 0, ..., 0) needs no reduction."""
+        phi = len(cyclotomic_poly(d)) - 1
+        return cls._from_canon(d, (int(m),) + (0,) * (phi - 1))
 
     @classmethod
     def root_of_unity(cls, d: int, e: int) -> "CycElt":

@@ -44,6 +44,7 @@ __all__ = [
     "FieldCtx",
     "FqElem",
     "make_field",
+    "check_field",
     "prime_power",
     "frobenius",
     "in_mu_d",
@@ -594,6 +595,22 @@ def _build_tables(p, n, modulus, g_code):
     return exp, dlog
 
 
+def check_field(p: int, k: int = 1) -> None:
+    """Raise ValueError unless make_field(p, k) is within its limits: p a
+    prime of at least 5, k >= 1 and q^2 <= SIZE_CAP.  Builds nothing."""
+    if not isinstance(p, int) or not isinstance(k, int):
+        raise ValueError("p and k must be integers")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if p < 5:
+        raise ValueError(f"characteristic must be at least 5, got {p}")
+    q = p**k
+    if q * q > SIZE_CAP:
+        raise ValueError(f"q^2 = {q * q} exceeds the size cap {SIZE_CAP}")
+
+
 @lru_cache(maxsize=None)
 def make_field(p: int, k: int = 1) -> FieldCtx:
     """Deterministically build the tower context for q = p^k.
@@ -607,18 +624,8 @@ def make_field(p: int, k: int = 1) -> FieldCtx:
     g^(q^2-1) = 1 and that dlog has exactly one -1, so exp hits every
     nonzero code once.
     """
-    if not isinstance(p, int) or not isinstance(k, int):
-        raise ValueError("p and k must be integers")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not _is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if p < 5:
-        raise ValueError(f"characteristic must be at least 5, got {p}")
+    check_field(p, k)
     q = p**k
-    if q * q > SIZE_CAP:
-        raise ValueError(f"q^2 = {q * q} exceeds the size cap {SIZE_CAP}")
-
     n = 2 * k
     modulus = _lex_smallest_irreducible(p, n)
 

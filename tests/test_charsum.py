@@ -509,6 +509,17 @@ def test_admissible_counts_q_1_mod_4(p, k):
     assert len(admissible_values(ctx)) == (ctx.q - 1) // 4
 
 
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (7, 2), (7, 3)])
+def test_admissible_values_match_the_per_element_oracle(monkeypatch, p, k):
+    # the dlog-parity pass against is_admissible on every c, sorted by dlog
+    ctx = make_field(p, k)
+    expected = sorted((c for c in ctx.fq_elements() if is_admissible(c)), key=lambda c: c.dlog)
+    monkeypatch.setattr(charsum, "is_admissible", None)
+    got = admissible_values(ctx)
+    assert [c.code for c in got] == [c.code for c in expected]
+    assert all(type(c.code) is int for c in got)
+
+
 def test_admissible_equals_b_squared_set():
     for p in [5, 7, 13, 17]:
         ctx = make_field(p)
@@ -578,18 +589,69 @@ def test_survey_matches_sum_S_oracle(p, k, order):
     assert survey_N(ctx, order) == (len(hits), hits, misses)
 
 
-@pytest.mark.parametrize("p,k", [(7, 3), (251, 1)])
-def test_survey_matches_per_c_element_decision(p, k):
-    # the blocked reduction against one CycElt per c on the same plane
-    # counts; the 343 c of q = 7^3 fill one block and part of a second
+@pytest.mark.parametrize(
+    "p,k,order",
+    [
+        pytest.param(7, 3, 4, id="7-3"),
+        pytest.param(251, 1, 4, id="251-1"),
+        pytest.param(1019, 1, 4, id="1019-1", marks=pytest.mark.extended),
+        # 4 does not divide d = 126; order 9 has 21 hits and no misses
+        pytest.param(5, 3, 9, id="5-3", marks=pytest.mark.extended),
+    ],
+)
+def test_survey_matches_per_c_element_decision(p, k, order):
+    # one CycElt per c, every c swept, on the same plane counts; the 343 c
+    # of q = 7^3 fill one block and part of a second
     ctx = make_field(p, k)
     q, d = ctx.q, ctx.d
-    sweep = _PlaneSweep(ctx, d // 4, d // 4, d // 4)
+    e = d // order
+    sweep = _PlaneSweep(ctx, e, e, e)
     values = {c: CycElt(d, sweep.counts(c)) for c in ctx.fq_elements()}
     hits = [c for c in ctx.fq_elements() if values[c].equals_integer(2 * q)]
     misses = [c for c in ctx.fq_elements() if values[c].equals_integer(-2 * q)]
-    assert survey_N(ctx, 4) == (len(hits), hits, misses)
-    assert 0 < len(hits) and 0 < len(misses)
+    assert survey_N(ctx, order) == (len(hits), hits, misses)
+    assert 0 < len(hits) and (0 < len(misses) or order != 4)
+
+
+def _orbit_count_by_closure(ctx):
+    """Orbits of F_q minus {0, 1} under c -> 1/c, c -> 1 - c and c -> c^p,
+    by closing each unvisited c under the three maps."""
+    seen, count = {0, 1}, 0
+    for c in ctx.fq_elements():
+        if c.code in seen:
+            continue
+        count += 1
+        todo = [c]
+        seen.add(c.code)
+        while todo:
+            x = todo.pop()
+            for y in (x.inverse(), ctx.one - x, x ** ctx.p):
+                if y.code not in seen:
+                    seen.add(y.code)
+                    todo.append(y)
+    return count
+
+
+@pytest.mark.parametrize(
+    "p,k,order", [(7, 1, 4), (5, 2, 13), (7, 3, 4), (251, 1, 4)],
+    ids=["7-1", "5-2", "7-3", "251-1"],
+)
+def test_survey_sweeps_one_c_per_orbit(monkeypatch, p, k, order):
+    ctx = make_field(p, k)
+    expected = survey_N(ctx, order)
+    swept = []
+    counts = _PlaneSweep.counts
+
+    def spy(self, c):
+        swept.append(c.code)
+        return counts(self, c)
+
+    monkeypatch.setattr(_PlaneSweep, "counts", spy)
+    assert survey_N(ctx, order) == expected
+    assert len(swept) == len(set(swept)) == 2 + _orbit_count_by_closure(ctx)
+    assert swept[:2] == [0, 1] and swept == sorted(swept)
+    if ctx.q == 7:
+        assert swept == [0, 1, 2, 3]  # orbits {2, 4, 6} and {3, 5}
 
 
 def test_survey_rejects_bad_order():

@@ -264,6 +264,24 @@ def test_point_json_matches_pin(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the survey JSON of the survey_large benchmark workload, recorded
+# from the survey that swept every c in F_q; the orbit survey must
+# reproduce these bytes exactly
+SURVEY_PINS = [
+    (("--p", "7", "--k", "3"), "2cadf788fa17f00ccd932a7d6d11613d6210dea9c7058569d92cfe6e85829290"),
+    (("--p", "251"), "46d6704f2d042fc54490fc07f065d25bea9212d0b9dc586a72c6f8f577000df2"),
+]
+
+
+@pytest.mark.parametrize(
+    "args,digest", SURVEY_PINS, ids=[" ".join(a) for a, _ in SURVEY_PINS]
+)
+def test_survey_json_matches_pin(capsys, args, digest):
+    rc, out = run(capsys, "survey", *args, "--order", "4", "--extended", "--format", "json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_point_usage_errors(capsys):
     rc, _ = run(capsys, "point", "--p", "7", "--thm1", "--a", "3")
     assert rc == 2

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermatlines import cyc
 from fermatlines.cyc import (
     CycElt,
     _canon_rows,
@@ -112,6 +113,23 @@ def test_counts_reduce_via_canon():
     assert s == CycElt.from_int(4, -1)
     # zeta_8^4 = -1 likewise
     assert CycElt.root_of_unity(8, 4) == CycElt.from_int(8, -1)
+
+
+@pytest.mark.parametrize("d", [6, 8, 12, 200])
+@pytest.mark.parametrize("m", [0, 1, -1, 2 * 199, -(2**63), 2**70, -(2**70)])
+def test_from_int_matches_the_reduced_counts_without_reducing(monkeypatch, d, m):
+    expected = CycElt(d, [m] + [0] * (d - 1))
+
+    def forbidden(*args):
+        raise AssertionError("from_int reduced its counts")
+
+    monkeypatch.setattr(cyc, "_canon_rows", forbidden)
+    got = CycElt.from_int(d, m)
+    assert got == expected and hash(got) == hash(expected)
+    assert got.canon == expected.canon and all(type(a) is int for a in got.canon)
+    assert len(got.canon) == len(cyclotomic_poly(d)) - 1
+    if m == 0:
+        assert CycElt.zero(d) == expected and not CycElt.zero(d)
 
 
 @pytest.mark.parametrize("d", [6, 12, 200, 252])

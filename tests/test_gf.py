@@ -179,6 +179,26 @@ def test_make_field_rejects_bad_input():
         make_field(2003, 2)  # q^2 over the size cap
 
 
+@pytest.mark.parametrize(
+    "p,k", [(6, 1), (3, 1), (7, 0), (2003, 1), ("7", 1), (1999, 1), (7, 3)]
+)
+def test_check_field_matches_make_field(monkeypatch, p, k):
+    # check_field raises exactly what make_field raises, and builds nothing
+    try:
+        make_field(p, k)
+        expected = None
+    except ValueError as e:
+        expected = str(e)
+    monkeypatch.setattr(gf, "_build_tables", None)
+    monkeypatch.setattr(gf, "_lex_smallest_irreducible", None)
+    try:
+        gf.check_field(p, k)
+        got = None
+    except ValueError as e:
+        got = str(e)
+    assert got == expected
+
+
 def test_make_field_is_cached():
     assert make_field(7, 1) is make_field(7, 1)
 

@@ -51,6 +51,30 @@ def test_survey_extremal_sums_rejects_bad_input_with_usage_exit(capsys, argv):
     assert err.strip() and "\n" not in err.strip()
 
 
+def _forbidden(*args):
+    raise AssertionError("a field was surveyed before every field was checked")
+
+
+@pytest.mark.parametrize(
+    "script,work,argv",
+    [
+        ("survey_extremal_sums", "survey_N", ["--upto", "2003"]),
+        ("survey_extremal_sums", "survey_N", ["--upto", "7", "--fields", "5,2003"]),
+        ("certify_all", "certify", ["--fields", "5,2003"]),
+    ],
+    ids=["survey-upto-2003", "survey-fields-5,2003", "certify-fields-5,2003"],
+)
+def test_scripts_check_every_field_before_any_work(monkeypatch, capsys, script, work, argv):
+    # q = 2003 is over the size cap; the smaller fields before it must not
+    # be worked on, nor the header printed
+    module = load(script)
+    monkeypatch.setattr(module, work, _forbidden)
+    assert module.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "exceeds the size cap" in err and "\n" not in err.strip()
+
+
 def test_survey_extremal_sums(capsys):
     assert load("survey_extremal_sums").main(["--upto", "11"]) == 0
     lines = capsys.readouterr().out.splitlines()
