@@ -10,7 +10,7 @@ verdict FULL_RANK_CERTIFIED means exactly that this nonzero-projection
 criterion holds for all tuples; the rank value itself comes from the rank
 formula, not from an independent height computation.
 
-``certify`` is one scan over the Galois orbits of tuples: the first
+``certify`` finds one witness per Galois orbit of tuples: the first
 candidate c with S != 2q on the orbit representative witnesses the whole
 orbit, because S of a scaled tuple is the Galois image of S and 2q is
 Galois-stable.  The candidate list depends on q mod 12:
@@ -24,14 +24,15 @@ Galois-stable.  The candidate list depends on q mod 12:
 
 The sums come from the F_q-plane route of ``charsum``: one histogram of
 the tuple (1, 1, 1) per candidate c tried, pushed forward by k -> ik to
-the counts vectors of (i, i, i, -3i).  Each candidate reduces the
-representatives of the orbits still without a witness as one batch
-(``cyc._canon_rows``), and each witnessed orbit reduces its members as one
-more; on the single line one % 3 over a batch's canon rows gives the
-mod-3 residues of all its sums.  The mod-3, Galois-transfer and no-witness
-checks then run orbit by orbit, so the first failing orbit raises, as in a
-per-tuple scan; the line-count checks follow.  The w-type tuples are built
-once per call (``w_tuples``) and indexed by i.
+the counts vectors of (i, i, i, -3i).  The witness scan goes through the
+candidates in order; each reduces the representatives of the orbits still
+open as one batch (``cyc._canon_rows``), and an orbit whose representative
+is not 2q keeps (c, histogram) as its witness.  Then, orbit by orbit, a
+witnessed orbit reduces all its tuples as one batch with that histogram,
+and each sum passes the mod-3 and S != 2q checks before it enters the
+coverage, so the first failing orbit raises, as in a per-tuple scan.  On
+the single line one % 3 over a batch's canon rows gives the mod-3 residues
+of all its sums, in both passes.  The line-count checks follow.
 
 ``certify_general`` scans every tuple against every admissible c with no
 Galois transfer, computing every sum by the F_{q^2} sweep
@@ -127,9 +128,11 @@ class Certificate:
         }
 
 
-def _assemble(ctx: FieldCtx, coverage: dict, tuples: list[ExponentTuple]) -> Certificate:
+def _assemble(
+    ctx: FieldCtx, coverage: dict, tuples: list[ExponentTuple], orbits: list[list[int]]
+) -> Certificate:
     # callers iterate coverage in tuple order, whatever order it was filled in;
-    # tuples is w_tuples(ctx.d)
+    # tuples is w_tuples(ctx.d) and orbits is galois_orbits(ctx.d)
     coverage = {t: coverage[t] for t in tuples}
     all_nonzero = all(coverage[t].nonzero for t in tuples)
     used = {e.c.code for e in coverage.values() if e.c is not None and e.nonzero}
@@ -140,7 +143,7 @@ def _assemble(ctx: FieldCtx, coverage: dict, tuples: list[ExponentTuple]) -> Cer
         coverage=coverage,
         verdict=FULL_RANK_CERTIFIED if all_nonzero else NOT_CERTIFIED,
         lines_used=len(used),
-        galois_orbits=galois_orbits(ctx.d),
+        galois_orbits=orbits,
     )
 
 
@@ -157,13 +160,23 @@ def _one_mod_3(canon: np.ndarray) -> list[bool]:
     return ((residue[:, 0] == 1) & (residue[:, 1:] == 0).all(axis=1)).tolist()
 
 
+def _check_mod_3(q: int, c: FqElem, tuples: list[ExponentTuple], canon: np.ndarray) -> None:
+    """Raise at the first canon row (S at c of its tuple) not 1 mod 3."""
+    for t, row, one_mod_3 in zip(tuples, canon, _one_mod_3(canon)):
+        if not one_mod_3:
+            raise ContradictionError(
+                f"mod-3 obstruction failed at q={q} for tuple {t.entries}, c={c.dlog}:"
+                f" expected S = 1 mod 3, got S = {row.tolist()}"
+            )
+
+
 def certify(ctx: FieldCtx) -> Certificate:
-    """Certify full rank by one scan over the Galois orbits of w-type tuples.
+    """Certify full rank by one witness per Galois orbit of w-type tuples.
 
     Each orbit takes the first candidate c whose S on the orbit
-    representative differs from 2q; every other member is swept with that
-    witness.  A theorem promises a witness unless q = 11 mod 12; there a
-    missing witness leaves the orbit uncovered (NOT_CERTIFIED).
+    representative differs from 2q; all its members are then swept with
+    that witness.  A theorem promises a witness unless q = 11 mod 12; there
+    a missing witness leaves the orbit uncovered (NOT_CERTIFIED).
     """
     q, d = ctx.q, ctx.d
     single_line = q % 12 == 7
@@ -174,60 +187,46 @@ def certify(ctx: FieldCtx) -> Certificate:
     tuples = w_tuples(d)
     w_type = {t.i0: t for t in tuples}  # i -> (i, i, i, -3i)
 
-    def reduce(counts):
-        # (S, whether S = 1 mod 3) per counts row; the mod-3 flags are
-        # needed on the single line only
-        canon = _canon_rows(d, counts)
-        one_mod_3 = _one_mod_3(canon) if single_line else [True] * len(canon)
-        canon = canon.tolist()  # frees the matrix before the elements are built
-        return ((CycElt._from_canon(d, row), m3) for row, m3 in zip(canon, one_mod_3))
-
-    # the scan: each candidate c sweeps one histogram of (1, 1, 1) and one
-    # batch covers the representatives of the orbits still without a witness
-    # orbit position -> (last c tried, its histogram, S of the representative,
-    # whether that S is 1 mod 3)
-    tried = {}
+    # pass 1, the witness scan: each candidate c sweeps one histogram of
+    # (1, 1, 1) and reduces the representatives of the open orbits as one
+    # batch.  No member batch is reduced yet, so no sweep's temporaries
+    # meet the coverage integers
+    witness = {}  # orbit position -> (c, its histogram)
     pending = list(range(len(orbits)))
     for c in candidates:
         if not pending:
             break
         hist = plane.counts(c)
-        reps = reduce(_pushforward(hist, [orbits[k][0] for k in pending]))
-        for k, (s, one_mod_3) in zip(pending, reps):
-            tried[k] = (c, hist, s, one_mod_3)
-        pending = [k for k in pending if tried[k][2] == two_q]
+        reps = [orbits[k][0] for k in pending]
+        canon = _canon_rows(d, _pushforward(hist, reps))
+        if single_line:
+            _check_mod_3(q, c, [w_type[i] for i in reps], canon)
+        is_two_q = (canon == two_q.canon).all(axis=1).tolist()
+        witness.update((k, (c, hist)) for k, hit in zip(pending, is_two_q) if not hit)
+        pending = [k for k, hit in zip(pending, is_two_q) if hit]
 
-    def mod3_check(c: FqElem, t: ExponentTuple, s: CycElt, one_mod_3: bool) -> None:
-        if not one_mod_3:
-            raise ContradictionError(
-                f"mod-3 obstruction failed at q={q} for tuple {t.entries}, c={c.dlog}:"
-                f" expected S = 1 mod 3, got S = {list(s.canon)}"
-            )
-
-    # the checks, orbit by orbit: the representative, then its members,
-    # swept in one batch with the witness
+    # pass 2, in orbit order: a witnessed orbit reduces all its tuples,
+    # representative first, as one batch with its witness's histogram
     coverage = {tuples[0]: _trivial_entry(tuples[0])}
     for k, orbit in enumerate(orbits):
         rep = w_type[orbit[0]]
-        # no candidate at all: only off the single line, where no mod-3 check runs
-        c, hist, s, one_mod_3 = tried.get(k, (None, None, two_q, True))
-        mod3_check(c, rep, s, one_mod_3)
-        if s == two_q:
+        if k not in witness:
             if q % 12 != 11:
                 raise ContradictionError(
                     f"no witness at q={q} for tuple {rep.entries}: expected S != 2q for"
                     f" some c in {[c.dlog for c in candidates]}, got S = 2q = {2 * q}"
                     " for each"
                 )
-            for i in orbit:
-                t = w_type[i]
+            for t in map(w_type.get, orbit):
                 coverage[t] = CoverageEntry(t, None, None, False)
             continue
-        coverage[rep] = CoverageEntry(rep, c, s, True)
-        members = reduce(_pushforward(hist, orbit[1:]))
-        for i, (s, one_mod_3) in zip(orbit[1:], members):
-            t = w_type[i]
-            mod3_check(c, t, s, one_mod_3)
+        c, hist = witness[k]
+        canon = _canon_rows(d, _pushforward(hist, orbit))
+        if single_line:
+            _check_mod_3(q, c, [w_type[i] for i in orbit], canon)
+        canon = canon.tolist()  # frees the matrix before the elements are built
+        for i, row in zip(orbit, canon):
+            t, s = w_type[i], CycElt._from_canon(d, row)
             # S_c(u*t) = sigma_u(S_c(t)), and sigma_u fixes 2q
             if s == two_q:
                 raise ContradictionError(
@@ -235,7 +234,7 @@ def certify(ctx: FieldCtx) -> Certificate:
                     f" expected S != 2q as for {rep.entries}, got S = 2q = {2 * q}"
                 )
             coverage[t] = CoverageEntry(t, c, s, True)
-    cert = _assemble(ctx, coverage, tuples)
+    cert = _assemble(ctx, coverage, tuples, orbits)
     if single_line and cert.lines_used != 1:
         raise ContradictionError(
             f"single-line certificate at q={q}: expected 1 line, got {cert.lines_used}"
@@ -266,4 +265,4 @@ def certify_general(ctx: FieldCtx) -> Certificate:
                 entry = CoverageEntry(t, c, s, True)
                 break
         coverage[t] = entry
-    return _assemble(ctx, coverage, tuples)
+    return _assemble(ctx, coverage, tuples, galois_orbits(d))

@@ -325,7 +325,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--extended",
         action="store_true",
-        help="confirm sweeps with q > 50 (minutes-scale in the worst case)",
+        help="confirm sweeps with q > 50 (seconds at the size cap)",
     )
 
 

@@ -127,11 +127,10 @@ def lines_for_c(ctx: FieldCtx, c: FqElem) -> list[Line]:
         return []
     cm1 = c - 1
     # a ranges over the square roots of c - 1 in F_q, b over those of c.
+    # c - 1 is a nonzero square of F_q, so its dlog is d times an even number
+    # and halving it stays in F_q.
     b0 = ctx.elem(int(ctx.exp[c.dlog // 2]))
-    a_dlog_half = cm1.dlog // 2
-    if (cm1.dlog // ctx.d) % 2 == 1:  # halving left mu_d: shift into F_q
-        a_dlog_half = (cm1.dlog + (ctx.q * ctx.q - 1) // 2) % (ctx.q * ctx.q - 1)
-    a0 = ctx.elem(int(ctx.exp[a_dlog_half]))
+    a0 = ctx.elem(int(ctx.exp[cm1.dlog // 2]))
     if not a0.in_fq or a0 * a0 != cm1:
         raise ContradictionError("square root of c - 1 failed to land in F_q")
     out = [Line(ctx, a, b) for a in (a0, -a0) for b in (b0, -b0)]

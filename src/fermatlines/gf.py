@@ -526,8 +526,6 @@ class FqElem:
         return f"FqElem({self.code} in {self.ctx!r})"
 
     def __str__(self):
-        if self.ctx.k == 0 or self.ctx.deg == 0:
-            return str(self.code)
         coeffs = self.coeffs
         if all(c == 0 for c in coeffs[1:]):
             return str(coeffs[0])
@@ -611,7 +609,6 @@ def check_field(p: int, k: int = 1) -> None:
         raise ValueError(f"q^2 = {q * q} exceeds the size cap {SIZE_CAP}")
 
 
-@lru_cache(maxsize=None)
 def make_field(p: int, k: int = 1) -> FieldCtx:
     """Deterministically build the tower context for q = p^k.
 
@@ -623,8 +620,17 @@ def make_field(p: int, k: int = 1) -> FieldCtx:
     matrix of multiplication by g (_build_tables); the build checks that
     g^(q^2-1) = 1 and that dlog has exactly one -1, so exp hits every
     nonzero code once.
+
+    The limits are checked on every call; the build is cached on the
+    positional (p, k), so every call form of one field returns one context.
     """
     check_field(p, k)
+    return _build_field(p, k)
+
+
+@lru_cache(maxsize=None)
+def _build_field(p: int, k: int) -> FieldCtx:
+    """make_field's build for a (p, k) that check_field has passed."""
     q = p**k
     n = 2 * k
     modulus = _lex_smallest_irreducible(p, n)
@@ -632,8 +638,9 @@ def make_field(p: int, k: int = 1) -> FieldCtx:
     order = q * q - 1
     cofactors = [order // r for r in _prime_factors(order)]
 
+    # codes below p are the elements of F_p, whose orders divide p - 1 < q^2 - 1
     g_code = None
-    for code in range(2, q * q):
+    for code in range(p, q * q):
         cand = _pp_trim(_code_digits(code, p, n))
         if all(_pp_powmod(cand, cf, modulus, p) != (1,) for cf in cofactors):
             g_code = code

@@ -331,6 +331,38 @@ def test_certify_sweeps_once_per_candidate_tried(monkeypatch, q):
     assert histograms == admissible[:tried]
 
 
+@pytest.mark.parametrize("q", [11, 13, 17, 19])
+def test_certify_reduces_each_witnessed_orbit_once(monkeypatch, q):
+    # the witness scan reduces the open representatives once per candidate
+    # tried; then each witnessed orbit, representative first, is reduced as
+    # one batch with its witness, in orbit order
+    F = field(q)
+    orbits = galois_orbits(F.d)
+    if q % 12 == 7:
+        candidates, found = [line_for_thm1(F).c], [0] * len(orbits)
+    else:
+        candidates, general = admissible_values(F), certify_general(F)
+        found = []  # per orbit, the position of its witness among the candidates
+        for orbit in orbits:
+            entry = general.coverage[ExponentTuple.w_type(F.d, orbit[0])]
+            found.append(candidates.index(entry.c) if entry.nonzero else None)
+    open_at = [len(candidates) if j is None else j for j in found]
+    expected = [
+        [o[0] for o, last in zip(orbits, open_at) if last >= n]
+        for n in range(min(max(open_at) + 1, len(candidates)))
+    ] + [o for o, j in zip(orbits, found) if j is not None]
+    batches = []
+    pushforward = certify_mod._pushforward
+
+    def recording(counts, idx):
+        batches.append(list(idx))
+        return pushforward(counts, idx)
+
+    monkeypatch.setattr(certify_mod, "_pushforward", recording)
+    certify(F)
+    assert batches == expected
+
+
 def _constant_pushforward(value):
     # stands in for the pushforward: every tuple gets the integer value(q)
     def fake(counts, idx):
@@ -381,6 +413,19 @@ def test_certify_mod3_failure_is_a_contradiction(monkeypatch):
     msg = str(err.value)
     assert f"mod-3 obstruction failed at q=19 for tuple (1, 1, 1, 17), c={c.dlog}" in msg
     assert "expected S = 1 mod 3, got S = [0" in msg
+
+
+def test_certify_representative_at_2q_on_the_single_line_fails_mod3(monkeypatch):
+    # 2q = 2 mod 3 for q = 7 mod 12, so a representative that reads 2q on the
+    # single line fails the mod-3 check before its orbit can lack a witness
+    monkeypatch.setattr(certify_mod, "_pushforward", _constant_pushforward(lambda q: 2 * q))
+    F = field(19)
+    with pytest.raises(ContradictionError) as err:
+        certify(F)
+    c = line_for_thm1(F).c
+    msg = str(err.value)
+    assert f"mod-3 obstruction failed at q=19 for tuple (1, 1, 1, 17), c={c.dlog}" in msg
+    assert "expected S = 1 mod 3, got S = [38, 0" in msg
 
 
 @pytest.mark.parametrize("d", [8, 12, 20, 72])

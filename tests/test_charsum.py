@@ -35,7 +35,7 @@ from fermatlines.charsum import (
     sum_over_c,
     survey_N,
 )
-from fermatlines import charsum, cli
+from fermatlines import charsum, cli, gf
 from fermatlines.cyc import CycElt, accumulate, galois_apply, is_real
 from fermatlines.fermat import charsum_numerator, lines_for_c, w_tuples
 from fermatlines.gf import FieldCtx, chi_exp, find_ab_pairs, make_field
@@ -284,7 +284,7 @@ def test_sum_S_never_enters_the_fq2_sweep(monkeypatch, capsys):
 
 
 def test_field_context_is_never_mutated(monkeypatch, capsys):
-    ctx = make_field.__wrapped__(7, 1)  # a fresh context, outside the cache
+    ctx = gf._build_field.__wrapped__(7, 1)  # a fresh context, outside the cache
     monkeypatch.setattr(cli, "make_field", lambda p, k: ctx)
     before = {slot: getattr(ctx, slot) for slot in FieldCtx.__slots__}
     for argv in [

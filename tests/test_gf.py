@@ -203,6 +203,23 @@ def test_make_field_is_cached():
     assert make_field(7, 1) is make_field(7, 1)
 
 
+def test_make_field_call_forms_share_one_context():
+    # keyword and default arguments reach the same cached build, so
+    # elements from any call form mix
+    forms = [make_field(7), make_field(7, 1), make_field(p=7), make_field(7, k=1)]
+    assert all(ctx is forms[0] for ctx in forms)
+    assert (forms[0].one + forms[1].one) == forms[2].from_int(2)
+
+
+def test_make_field_checks_every_call():
+    # non-int arguments that equal and hash like the cached key still fail
+    make_field(7, 1)
+    with pytest.raises(ValueError, match="must be integers"):
+        make_field(7, 1.0)
+    with pytest.raises(ValueError, match="must be integers"):
+        make_field(np.int64(7), 1)
+
+
 # sha256 of exp and dlog (as little-endian int64) from the sequential
 # one-multiplication-per-element build, which the block build must match.
 TABLE_PINS = {
