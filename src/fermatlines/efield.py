@@ -4,7 +4,10 @@ that turns a surface line into a rational point of E.
 
 Layers
 ------
-``Poly``        dense polynomials over F_{q^2}, low degree first.
+``Poly``        dense polynomials over F_{q^2}, low degree first.  Sums work
+                on base-p digit arrays; every product is one Kronecker
+                big-int product (``_kron``), and division takes the quotient
+                top down and the remainder from one kernel product.
 ``RatFunc``     canonical rational functions: gcd-reduced, monic denominator.
 ``CurvePoint``  a point of E with coordinates in K = F_{q^2}(t).
 
@@ -24,6 +27,9 @@ g = x^2 + b*x + c*y + a vanishes at the three conjugates exactly when its
 value at the point is 0 in L1, and its fourth zero P4 gives the sum -P4.
 Elements of L1 appear only as degree-<3 vectors in s reduced modulo m0;
 no extension of K is built, and every CurvePoint has coordinates in K.
+The coordinates are reduced through h = f0*f1*f2/p3, the monic cubic with
+m0 = h(s) - t/p3: the h-adic digits of x and y in F_{q^2}[s], which come
+from repeated division by h, are their coordinates in s over t/p3.
 
 The solve is fraction-free.  m0 is monic with coefficients in F_{q^2}[t], so
 the coordinates reduced modulo m0 are Polys; Cramer's rule keeps the
@@ -34,6 +40,10 @@ translation t -> zeta*t only makes the denominator monic again.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
 
 from .fermat import Line
 from .gf import ContradictionError, FieldCtx, FqElem, in_mu_d
@@ -49,6 +59,55 @@ __all__ = [
     "mu_d_translate",
     "point_from_components",
 ]
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker kernel: F_{q^2}[t] products on one big-int product
+# ---------------------------------------------------------------------------
+
+
+def _slot_dtype(ctx: FieldCtx, m: int) -> np.dtype:
+    """The narrowest of the 16, 32 and 64-bit slots that holds a sum of
+    m * 2k digit products, each at most (p - 1)^2."""
+    bound = m * ctx.deg * (ctx.p - 1) ** 2
+    for bits in (16, 32, 64):
+        if bound >> bits == 0:
+            return np.dtype(f"<u{bits // 8}")
+    raise OverflowError(f"Kronecker slot bound {bound} exceeds 64 bits")
+
+
+@lru_cache(maxsize=None)
+def _fold(ctx: FieldCtx) -> np.ndarray:
+    """The (4k - 1) x 2k matrix whose row j holds the digits of w^j; read-only,
+    since every product shares it."""
+    w = ctx.elem(ctx.p)  # the code with digits (0, 1, 0, ...)
+    fold = ctx.digit_rows([(w**j).code for j in range(2 * ctx.deg - 1)])
+    fold.flags.writeable = False
+    return fold
+
+
+def _kron(ctx: FieldCtx, a, b) -> np.ndarray:
+    """Digits of the product of the code sequences a and b, one row per
+    coefficient (Kronecker substitution; Harvey, J. Symb. Comp. 2009).
+
+    Each coefficient is packed as its 2k digits into byte-aligned slots of
+    one Python int, 4k - 1 slots per coefficient: room for the degree-(4k-2)
+    product in w of two coefficients.  After one big-int product, slot j of
+    coefficient i holds the integer coefficient of t^i w^j, and the fold
+    matrix takes each w^j back to the basis 1, ..., w^{2k-1}.
+    """
+    stride, dtype = 2 * ctx.deg - 1, _slot_dtype(ctx, min(len(a), len(b)))
+    slots = np.zeros((len(a) + len(b), stride), dtype)
+    slots[:, : ctx.deg] = ctx.digit_rows([*a, *b])
+    x = int.from_bytes(slots[: len(a)].tobytes(), "little")
+    y = int.from_bytes(slots[len(a) :].tobytes(), "little")
+    size = (len(a) + len(b) - 1) * stride
+    packed = (x * y).to_bytes(size * dtype.itemsize, "little")
+    # each slot widened to 8 bytes and reduced mod p as uint64 before the fold,
+    # since a 64-bit slot may pass 2^63; no numpy cast runs (FieldCtx.digit_rows)
+    wide = np.zeros(size, "<u8")
+    wide.view(dtype)[:: 8 // dtype.itemsize] = np.frombuffer(packed, dtype)
+    return (wide % ctx.p).view("<i8").reshape(-1, stride) @ _fold(ctx) % ctx.p
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +181,7 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        a, b = self.codes, other.codes
-        if len(a) < len(b):
-            a, b = b, a
-        add = self.ctx.add_codes
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return Poly(self.ctx, out)
+        return Poly(self.ctx, self.ctx.sum_codes(self.codes, other.codes))
 
     def __neg__(self) -> "Poly":
         neg = self.ctx.neg_code
@@ -143,14 +195,11 @@ class Poly:
         a, b = self.codes, other.codes
         if not a or not b:
             return Poly.zero(self.ctx)
-        add, mul = self.ctx.add_codes, self.ctx.mul_codes
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = add(out[i + j], mul(ai, bj))
-        return Poly(self.ctx, out)
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            return Poly(self.ctx, a).scale(FqElem(self.ctx, b[0]))
+        return Poly(self.ctx, self.ctx.row_codes(_kron(self.ctx, a, b)))
 
     def scale(self, e: FqElem) -> "Poly":
         mul = self.ctx.mul_codes
@@ -160,34 +209,38 @@ class Poly:
         if e < 0:
             raise ValueError("negative polynomial power")
         result = Poly.one(self.ctx)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
+        for bit in bin(e)[2:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def divmod(self, other: "Poly"):
+        """Quotient and remainder.  Quotient coefficient i, top down, is
+        (a[i + db] - sum_j quot[i + db - j] * b[j]) / lead(b), a sum over
+        the min(db, dq - i) coefficients of b below the lead that reach it;
+        the remainder is the low db coefficients of a - quot*b, one kernel
+        product of the low parts."""
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        add, mul, neg = self.ctx.add_codes, self.ctx.mul_codes, self.ctx.neg_code
-        inv_lead = self.ctx.elem(other.lead_code).inverse().code
-        rem = list(self.codes)
-        db = other.degree
-        if self.degree < db:
-            return Poly.zero(self.ctx), self
-        quot = [0] * (self.degree - db + 1)
-        for i in range(self.degree - db, -1, -1):
-            c = mul(rem[i + db], inv_lead)
-            if c:
-                quot[i] = c
-                nc = neg(c)
-                for j, oc in enumerate(other.codes):
-                    rem[i + j] = add(rem[i + j], mul(nc, oc))
-        return Poly(self.ctx, quot), Poly(self.ctx, rem[:db])
+        ctx, a, b = self.ctx, self.codes, other.codes
+        db, dq = len(b) - 1, len(a) - len(b)
+        if dq < 0:
+            return Poly.zero(ctx), self
+        add, mul, neg = ctx.add_codes, ctx.mul_codes, ctx.neg_code
+        minus_inv_lead = neg(ctx.elem(b[-1]).inverse().code)
+        nq = [0] * (dq + 1)  # the negated quotient: the remainder is a + nq*b
+        for i in range(dq, -1, -1):
+            c = a[i + db]
+            for j in range(max(0, i + db - dq), db):
+                c = add(c, mul(nq[i + db - j], b[j]))
+            nq[i] = mul(c, minus_inv_lead)
+        quot = Poly(ctx, [neg(c) for c in nq])
+        if db == 0:
+            return quot, Poly.zero(ctx)
+        low = _kron(ctx, nq[:db], b[:db])[:db]
+        return quot, Poly(ctx, ctx.row_codes(ctx.sum_rows(ctx.digit_rows(a[:db]), low)))
 
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
@@ -214,12 +267,8 @@ class Poly:
     def subst_scale(self, zeta: FqElem) -> "Poly":
         """The substitution t -> zeta*t: coefficient i picks up zeta^i."""
         mul = self.ctx.mul_codes
-        out = []
-        zpow = 1
-        for c in self.codes:
-            out.append(mul(c, zpow))
-            zpow = mul(zpow, zeta.code)
-        return Poly(self.ctx, out)
+        codes = [mul(c, (zeta**i).code) for i, c in enumerate(self.codes)]
+        return Poly(self.ctx, codes)
 
     # -- comparison / rendering --------------------------------------------
 
@@ -242,38 +291,20 @@ class Poly:
     def pretty(self, var: str = "t") -> str:
         """Human-readable form, prime-field coefficients rendered as signed
         representatives in [-(p-1)/2, (p-1)/2], highest degree first."""
-        if self.is_zero:
-            return "0"
-        p = self.ctx.p
-        half = p // 2
-        terms = []
+        out = ""
         for i in range(self.degree, -1, -1):
-            code = self.codes[i]
-            if code == 0:
-                continue
-            digits = self.ctx.decode(code)
+            digits = self.ctx.decode(self.codes[i])
             if any(digits[1:]):
-                coeff_str, sign = "(" + str(self.ctx.elem(code)) + ")", 1
+                sign, body = "+", f"({self.ctx.elem(self.codes[i])})"
+            elif digits[0]:
+                mag = min(digits[0], self.ctx.p - digits[0])
+                sign = "+" if mag == digits[0] else "-"
+                body = "" if mag == 1 and i else str(mag)
             else:
-                v = digits[0]
-                signed = v - p if v > half else v
-                sign = -1 if signed < 0 else 1
-                mag = abs(signed)
-                coeff_str = "" if (mag == 1 and i > 0) else str(mag)
-            if i == 0:
-                power = ""
-            elif i == 1:
-                power = var
-            else:
-                power = f"{var}^{i}"
-            terms.append((sign, coeff_str + power))
-        parts = []
-        for idx, (sign, body) in enumerate(terms):
-            if idx == 0:
-                parts.append(("-" if sign < 0 else "") + body)
-            else:
-                parts.append(("- " if sign < 0 else "+ ") + body)
-        return " ".join(parts)
+                continue
+            power = "" if i == 0 else var if i == 1 else f"{var}^{i}"
+            out += f" {sign} {body}{power}"
+        return (out[3:] if out[1] == "+" else "-" + out[3:]) if out else "0"
 
     def __repr__(self):
         return f"Poly({self.pretty()!r})"
@@ -300,20 +331,11 @@ class RatFunc:
             raise ValueError("numerator and denominator over different fields")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        ctx = num.ctx
-        if num.is_zero:
-            num, den = Poly.zero(ctx), Poly.one(ctx)
-        else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-            lead_inv = ctx.elem(den.lead_code).inverse()
-            num = num.scale(lead_inv)
-            den = den.scale(lead_inv)
-        self.ctx = ctx
-        self.num = num
-        self.den = den
+        g = num.gcd(den)  # den.monic() when num = 0, leaving 0/1
+        if g.degree > 0:
+            num, den = num.divmod(g)[0], den.divmod(g)[0]
+        lead_inv = num.ctx.elem(den.lead_code).inverse()
+        self.ctx, self.num, self.den = num.ctx, num.scale(lead_inv), den.scale(lead_inv)
 
     # -- constructors -------------------------------------------------------
 
@@ -327,10 +349,6 @@ class RatFunc:
     @classmethod
     def from_poly(cls, p: Poly) -> "RatFunc":
         return cls(p, Poly.one(p.ctx))
-
-    @classmethod
-    def zero(cls, ctx: FieldCtx) -> "RatFunc":
-        return cls(Poly.zero(ctx), Poly.one(ctx))
 
     @classmethod
     def one(cls, ctx: FieldCtx) -> "RatFunc":
@@ -470,21 +488,10 @@ class CurvePoint:
         lhs = yn * (xd * xd) * (yn * xd + xn * yd - _t_pow_d(self.ctx) * (xd * yd))
         return lhs == xn * xn * xn * (yd * yd)
 
-    def _satisfies_equation(self) -> bool:
-        """y^2 + x*y - t^d*y = x^3 in RatFunc arithmetic, with a gcd at every
-        step: the oracle for ``on_curve``."""
-        x, y = self.x, self.y
-        lhs = y * y + x * y - self._td() * y
-        return not (lhs - x * x * x)
-
     def __eq__(self, other):
         if not isinstance(other, CurvePoint):
             return NotImplemented
-        if self.ctx is not other.ctx:
-            return False
-        if self.is_infinity or other.is_infinity:
-            return self.is_infinity and other.is_infinity
-        return self.x == other.x and self.y == other.y
+        return self.ctx is other.ctx and (self.x, self.y) == (other.x, other.y)
 
     def __hash__(self):
         return hash((self.x, self.y))
@@ -578,46 +585,49 @@ def _build_cubic(ctx: FieldCtx, f0: Poly, f1: Poly, f2: Poly):
     if prod.degree != 3:
         raise ValueError("components do not define a cubic fibration")
     # Fermat-surface membership: f0^d + f1^d + f2^d + 1 = 0 identically.
-    d = ctx.d
-    total = f0**d + f1**d + f2**d + Poly.one(ctx)
+    total = f0**ctx.d + f1**ctx.d + f2**ctx.d + Poly.one(ctx)
     if not total.is_zero:
         raise ValueError("components do not parametrize a line on the surface")
-    p0, p1, p2, p3 = (ctx.elem(c) for c in prod.codes)
     # m = t - prod(s); monic form divides by -p3:
     #   m0 = s^3 + (p2/p3) s^2 + (p1/p3) s + (p0 - t)/p3
-    c2 = Poly.from_elems(ctx, [p2 / p3])
-    c1 = Poly.from_elems(ctx, [p1 / p3])
-    c0 = Poly.from_elems(ctx, [p0 / p3, -(p3.inverse())])
-    return c0, c1, c2
+    inv_p3 = ctx.elem(prod.lead_code).inverse()
+    h0, h1, h2, _ = prod.scale(inv_p3).codes
+    return Poly(ctx, [h0, (-inv_p3).code]), Poly(ctx, [h1]), Poly(ctx, [h2])
 
 
 def _reduce_mod_m0(vec, m0):
-    """Reduce a list of Poly coefficients (low degree in s first) modulo the
-    monic m0 = s^3 + c2*s^2 + c1*s + c0; with c0, c1, c2 in F_{q^2}[t] the
-    remainder stays in F_{q^2}[t], so no fraction is ever formed."""
-    c0, c1, c2 = m0
+    """Reduce a list of at least three Poly coefficients (low degree in s
+    first) modulo the monic m0 = s^3 + c2*s^2 + c1*s + c0; with c0, c1, c2
+    in F_{q^2}[t] the remainder stays in F_{q^2}[t], so no fraction is ever
+    formed."""
     vec = list(vec)
     for i in range(len(vec) - 1, 2, -1):
-        c = vec[i]
-        if not c.is_zero:
-            vec[i - 1] = vec[i - 1] - c * c2
-            vec[i - 2] = vec[i - 2] - c * c1
-            vec[i - 3] = vec[i - 3] - c * c0
-    vec = vec[:3]
-    return tuple(vec) + (Poly.zero(c0.ctx),) * (3 - len(vec))
+        for j, c in enumerate(m0):
+            vec[i - 3 + j] = vec[i - 3 + j] - vec[i] * c
+    return tuple(vec[:3])
 
 
 def _coordinate_vectors(ctx: FieldCtx, m0, f0: Poly, f2: Poly):
     """The curve coordinates x = -f0^d f2^d, y = -f0^{2d} f2^d along the
-    line, reduced modulo m0 to degree-<3 representatives over F_{q^2}[t]."""
-    d = ctx.d
-    x_scalar = -((f0 * f2) ** d)
-    y_scalar = x_scalar * (f0**d)
+    line, reduced modulo m0 to degree-<3 representatives over F_{q^2}[t].
 
-    def reduce_scalar(p: Poly):
-        return _reduce_mod_m0([Poly(ctx, (c,)) for c in p.codes], m0)
+    m0 = h(s) - t/p3, where h = f0*f1*f2/p3 is the monic cubic of constant
+    coefficients, so h(s) = t/p3 in L1.  The h-adic expansion
+    g = sum_k r_k(s) h(s)^k, deg r_k < 3, by repeated division by h, then
+    gives coordinate j of g as the Poly in t with coefficients
+    r_k[j] * p3^{-k}."""
+    h = Poly(ctx, [(c.codes or (0,))[0] for c in m0] + [1])
+    inv_p3 = -ctx.elem(m0[0].codes[1])  # c0 = p0/p3 - t/p3
 
-    return reduce_scalar(x_scalar), reduce_scalar(y_scalar)
+    x = -((f0 * f2) ** ctx.d)
+    vectors = []
+    for g in (x, x * f0**ctx.d):
+        rows = []
+        while not g.is_zero:
+            g, r = g.divmod(h)
+            rows.append((r.codes + (0, 0, 0))[:3])
+        vectors.append(tuple(Poly(ctx, col).subst_scale(inv_p3) for col in zip(*rows)))
+    return tuple(vectors)
 
 
 def point_from_components(ctx: FieldCtx, f0: Poly, f1: Poly, f2: Poly) -> CurvePoint:

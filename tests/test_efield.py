@@ -2,9 +2,16 @@
 including the exact match against the q = 7 example point and the
 specialisation oracle: at every good fibre t0 whose cubic has three
 distinct roots in F_{q^4} or F_{q^6}, P(t0) is the sum of the three fibre
-points, added over that finite field."""
+points, added over that finite field.
+
+The Kronecker kernel behind Poly multiplication, division and the s-reduction
+is checked against the per-coefficient routes it replaced, which live here
+as oracles: schoolbook multiplication, long division with a row operation
+per quotient coefficient, and the Poly-of-Poly reduction modulo m0."""
 
 import functools
+import json
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermatlines import efield
+from fermatlines.cli import main
 from fermatlines.efield import (
     CurvePoint,
     Poly,
@@ -89,6 +97,222 @@ def test_poly_gcd_divides(a, b):
         assert a % g == Poly.zero(CTX7)
         assert b % g == Poly.zero(CTX7)
         assert g.lead_code == 1  # monic
+
+
+# ----------------------------------------------------------------------------
+# the Kronecker kernel against the per-coefficient oracles
+# ----------------------------------------------------------------------------
+
+
+def scalar_add(x, y):
+    """Sum coefficient by coefficient with the field's scalar add."""
+    a, b = sorted((x.codes, y.codes), key=len, reverse=True)
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = x.ctx.add_codes(out[i], c)
+    return Poly(x.ctx, out)
+
+
+def schoolbook_mul(x, y):
+    """Product coefficient by coefficient with the field's scalar add and mul."""
+    ctx, a, b = x.ctx, x.codes, y.codes
+    if not a or not b:
+        return Poly.zero(ctx)
+    add, mul = ctx.add_codes, ctx.mul_codes
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = add(out[i + j], mul(ai, bj))
+    return Poly(ctx, out)
+
+
+def schoolbook_divmod(x, y):
+    """Long division: one row operation on the remainder per quotient
+    coefficient, top down."""
+    ctx = x.ctx
+    add, mul, neg = ctx.add_codes, ctx.mul_codes, ctx.neg_code
+    inv_lead = ctx.elem(y.lead_code).inverse().code
+    rem = list(x.codes)
+    db = y.degree
+    if x.degree < db:
+        return Poly.zero(ctx), x
+    quot = [0] * (x.degree - db + 1)
+    for i in range(x.degree - db, -1, -1):
+        c = mul(rem[i + db], inv_lead)
+        if c:
+            quot[i] = c
+            nc = neg(c)
+            for j, oc in enumerate(y.codes):
+                rem[i + j] = add(rem[i + j], mul(nc, oc))
+    return Poly(ctx, quot), Poly(ctx, rem[:db])
+
+
+def schoolbook_gcd(x, y):
+    """Monic gcd by Euclid's algorithm on schoolbook_divmod."""
+    while not y.is_zero:
+        x, y = y, schoolbook_divmod(x, y)[1]
+    return x.monic()
+
+
+def schoolbook_pow(x, e):
+    out = Poly.one(x.ctx)
+    for _ in range(e):
+        out = schoolbook_mul(out, x)
+    return out
+
+
+def operands(ctx, max_size=60):
+    """Polys of length 0 to max_size: random codes, one random code, or every
+    coefficient the code q^2 - 1 (every digit p - 1), which reaches the
+    Kronecker slot bound."""
+    top = ctx.q * ctx.q - 1
+    return st.one_of(
+        st.lists(st.integers(0, top), max_size=max_size),
+        st.lists(st.integers(0, top), min_size=1, max_size=1),
+        st.integers(0, max_size).map(lambda n: [top] * n),
+    ).map(lambda codes: Poly(ctx, codes))
+
+
+KERNEL_FIELDS = pytest.mark.parametrize(
+    "p,k", [(5, 1), (7, 1), (5, 2), (7, 3)], ids=["5", "7", "25", "343"]
+)
+
+
+@KERNEL_FIELDS
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mul_add_divmod_match_schoolbook(p, k, data):
+    """F_{7^3} has k = 3: 4k - 1 = 11 slots per coefficient, 6 digits each."""
+    ctx = make_field(p, k)
+    a, b = data.draw(operands(ctx)), data.draw(operands(ctx))
+    assert a * b == schoolbook_mul(a, b)
+    assert a + b == scalar_add(a, b)
+    assert a - b == scalar_add(a, Poly(ctx, [ctx.neg_code(c) for c in b.codes]))
+    if not b.is_zero:
+        quot, rem = a.divmod(b)
+        assert (quot, rem) == schoolbook_divmod(a, b)
+        assert rem.degree < b.degree
+
+
+@KERNEL_FIELDS
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_gcd_matches_schoolbook(p, k, data):
+    ctx = make_field(p, k)
+    a, b = data.draw(operands(ctx, 16)), data.draw(operands(ctx, 16))
+    common = data.draw(operands(ctx, 8))
+    x, y = a * common, b * common
+    assert x.gcd(y) == schoolbook_gcd(x, y)
+
+
+@pytest.mark.parametrize(
+    "p,m,width",
+    [(5, 60, "<u2"), (7, 60, "<u2"), (31, 36, "<u2"), (31, 37, "<u4"), (31, 60, "<u4")],
+)
+def test_all_max_operands_at_the_slot_bound(p, m, width):
+    """m * 2k * (p-1)^2 is 64800 < 2^16 at q = 31, m = 36 and 66600 at
+    m = 37: the all-(p-1) operands fill the middle slot to that bound."""
+    ctx = make_field(p)
+    top = Poly(ctx, [ctx.q * ctx.q - 1] * m)
+    assert efield._slot_dtype(ctx, m) == np.dtype(width)
+    assert top * top == schoolbook_mul(top, top)
+    other = Poly(ctx, [1 + i % (ctx.q * ctx.q - 1) for i in range(m)])
+    assert (top * top).divmod(other) == schoolbook_divmod(top * top, other)
+    assert (top * other).gcd(top) == schoolbook_gcd(top * other, top)
+
+
+def test_all_max_product_in_64_bit_slots():
+    """At q = 1999 the bound m * 2 * 1998^2 passes 2^32 at m = 538, so a
+    length-600 product packs into 64-bit slots.  With every coefficient
+    e = code q^2 - 1, coefficient i of the square is min(i + 1, 1199 - i)
+    times e^2."""
+    ctx = make_field(1999)
+    e = ctx.elem(ctx.q * ctx.q - 1)
+    assert efield._slot_dtype(ctx, 537) == np.dtype("<u4")
+    assert efield._slot_dtype(ctx, 538) == np.dtype("<u8")
+    top = Poly(ctx, [e.code] * 600)
+    expected = [(ctx.from_int(min(i + 1, 1199 - i)) * e * e).code for i in range(1199)]
+    assert (top * top).codes == tuple(expected)
+
+
+def test_slot_bound_past_64_bits_raises():
+    with pytest.raises(OverflowError):
+        efield._slot_dtype(make_field(1999), 2**45)
+
+
+@pytest.mark.extended
+def test_mul_and_divmod_match_schoolbook_at_the_size_cap():
+    ctx = make_field(1999)
+    rng = random.Random(1999)
+    a, b = (Poly(ctx, [rng.randrange(ctx.q * ctx.q) for _ in range(600)]) for _ in "ab")
+    assert a * b == schoolbook_mul(a, b)
+    assert (a * b + a).divmod(b) == schoolbook_divmod(a * b + a, b)
+
+
+def poly_of_poly_reduce(ctx, m0, g):
+    """The coordinates of the scalar g(s) modulo m0: g as a vector of
+    constant Polys in t, reduced from the top degree in s down."""
+    c0, c1, c2 = m0
+    vec = [Poly(ctx, (c,)) for c in g.codes]
+    for i in range(len(vec) - 1, 2, -1):
+        c = vec[i]
+        if not c.is_zero:
+            vec[i - 1] = scalar_add(vec[i - 1], -schoolbook_mul(c, c2))
+            vec[i - 2] = scalar_add(vec[i - 2], -schoolbook_mul(c, c1))
+            vec[i - 3] = scalar_add(vec[i - 3], -schoolbook_mul(c, c0))
+    vec = vec[:3]
+    return tuple(vec) + (Poly.zero(ctx),) * (3 - len(vec))
+
+
+@pytest.mark.parametrize(
+    "p,every_line", [(5, True), (7, True), (19, False), (31, False)]
+)
+def test_coordinate_vectors_match_poly_of_poly_reduction(p, every_line):
+    """The h-adic reduction against the Poly-of-Poly one, on every line of
+    find_ab_pairs at q = 5 and 7 and on the thm-1 line at q = 19 and 31."""
+    ctx = make_field(p)
+    if every_line:
+        lines = [Line(ctx, a, b) for a, b in find_ab_pairs(ctx)]
+    else:
+        lines = [line_for_thm1(ctx)]
+    for L in lines:
+        f0, f1, f2 = line_components(ctx, L)
+        m0 = efield._build_cubic(ctx, f0, f1, f2)
+        x = -schoolbook_pow(schoolbook_mul(f0, f2), ctx.d)
+        y = schoolbook_mul(x, schoolbook_pow(f0, ctx.d))
+        expected = (poly_of_poly_reduce(ctx, m0, x), poly_of_poly_reduce(ctx, m0, y))
+        assert efield._coordinate_vectors(ctx, m0, f0, f2) == expected, (L.a, L.b)
+
+
+def test_kernel_results_are_python_ints(capsys):
+    """np.int64 codes would reach to_coeff_vectors and then json.dumps,
+    which rejects them."""
+    a, b = Poly(CTX7, [3, 17, 0, 40, 5, 48]), Poly(CTX7, [2, 9, 11])
+    f0, f1, f2 = line_components(CTX7, line_for_thm1(CTX7))
+    xvec, yvec = efield._coordinate_vectors(
+        CTX7, efield._build_cubic(CTX7, f0, f1, f2), f0, f2
+    )
+    for poly in (a * b, a + b, *a.divmod(b), (a * b).gcd(a), *xvec, *yvec):
+        assert all(type(c) is int for c in poly.codes), poly
+    # the q = 5 point through the CLI's JSON, rebuilt and compared
+    argv = ["point", "--p", "5", "--a", "1,0", "--b", "4,3", "--format", "json"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+
+    def rebuild(part):
+        num, den = (
+            Poly(CTX5, [CTX5.from_coeffs(v).code for v in part[key]])
+            for key in ("num", "den")
+        )
+        return RatFunc(num, den)
+
+    point = doc["point"]
+    L = Line(CTX5, CTX5.from_coeffs(doc["a"]), CTX5.from_coeffs(doc["b"]))
+    P = construct_point(CTX5, L)
+    assert CurvePoint(CTX5, rebuild(point["x"]), rebuild(point["y"])) == P
+    assert json.loads(json.dumps(P.to_json_dict())) == point
 
 
 def test_poly_eval_and_pow():
@@ -472,6 +696,15 @@ def test_construct_point_off_curve_result_is_a_contradiction(monkeypatch):
 # ----------------------------------------------------------------------------
 
 
+def satisfies_equation(P):
+    """y^2 + x*y - t^d*y = x^3 in RatFunc arithmetic, with a gcd at every
+    step: the oracle for ``on_curve``."""
+    x, y = P.x, P.y
+    lhs = y * y + x * y - P._td() * y
+    return not (lhs - x * x * x)
+
+
+
 def test_group_law_identities():
     P = thm1_point()
     O = CurvePoint.infinity(CTX7)
@@ -537,7 +770,7 @@ def test_on_curve_cleared_matches_generic_identity(p, full):
     for Q, expected in [(Q, True) for Q in on] + [(Q, False) for Q in off]:
         assert Q.on_curve() is expected, Q
         if not Q.is_infinity:
-            assert Q._satisfies_equation() is expected, Q
+            assert satisfies_equation(Q) is expected, Q
 
 
 # ----------------------------------------------------------------------------
