@@ -32,7 +32,14 @@ from .certify import certify, expected_rank
 from .charsum import ExponentTuple, admissible_values, is_admissible, sum_S, survey_N
 from .efield import construct_point, mu_d_translate
 from .fermat import Line, line_for_thm1, lines_for_c
-from .gf import ContradictionError, FieldCtx, FqElem, make_field, primitive_root_of_unity
+from .gf import (
+    ContradictionError,
+    FieldCtx,
+    FqElem,
+    _is_prime,
+    make_field,
+    primitive_root_of_unity,
+)
 
 SCHEMA = 1
 
@@ -297,6 +304,8 @@ def cmd_certify(ctx: FieldCtx, args) -> int:
 
 
 def cmd_rank(args) -> int:
+    if not _is_prime(args.p):
+        raise ValueError(f"p = {args.p} is not prime")
     q = args.p**args.k
     r = expected_rank(q)
     if args.format == "json":

@@ -7,14 +7,14 @@ j is the coefficient of zeta_d^j in a group-ring representative (the
 multiset of accumulated terms).  canon is the unique representative in
 Z[x]/(Phi_d), so equality of CycElts is equality of canon.
 
-canon is counts @ R_d, where row j of the d x phi(d) matrix R_d is
-x^j mod Phi_d; R_d is built once per d.  Its first phi rows are the
-identity, so ``_canon_rows`` computes counts[:phi] + counts[phi:] @ R_d[phi:]
-for a whole (n, d) matrix of counts rows at once.  A row takes the int64
-product when sum |counts| * max |R_d| < 2^63 and the exact Python-int
-product otherwise.  It is the one reduction route: ``CycElt`` reduces its
-counts as a one-row matrix, and ``CycElt.batch`` builds the elements of
-many rows from one call.
+Phi_d(x) = Phi_m(x^{d/m}) for m = rad(d), so canon is reduced by the small
+m x phi(m) matrix R_m, whose row b is x^b mod Phi_m, built once per m:
+``_canon_rows`` views a whole (n, d) matrix of counts rows as (n, m, d/m)
+and folds the rows b >= phi(m) back through R_m.  A batch takes the int64
+product when its entries are small enough that no sum can overflow, and the
+exact Python-int product otherwise.  It is the one reduction route:
+``CycElt`` reduces its counts as a one-row matrix, and ``CycElt.batch``
+builds the elements of many rows from one call.
 
 Sums, differences and integer multiples of reduced vectors are reduced, so
 those ring operations act on canon alone.  The product, the Galois action
@@ -28,8 +28,11 @@ Everything is integer arithmetic; there is no numerical embedding anywhere.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 
 import numpy as np
+
+from .gf import _prime_factors
 
 __all__ = [
     "cyclotomic_poly",
@@ -42,101 +45,77 @@ __all__ = [
 ]
 
 
-def _poly_divmod_exact(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of integer polynomials, den monic, low-first."""
-    num = list(num)
-    dn = len(den) - 1
-    if dn == 0:
-        return num, []
-    quot = [0] * max(len(num) - dn, 0)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            quot[i - dn] = c
-            for j, dj in enumerate(den):
-                num[i - dn + j] -= c * dj
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(d: int) -> tuple[int, ...]:
-    """Phi_d(x) over Z, low degree first, via x^d - 1 = prod_{e|d} Phi_e."""
+    """Phi_d(x) over Z, low degree first, as prod_{s | rad d} (x^{d/s} - 1)^mu(s):
+    a shifted difference per binomial with mu = +1, then an exact division,
+    quot[i] = quot[i - e] - poly[i], per binomial with mu = -1."""
     if d < 1:
         raise ValueError("d must be a positive integer")
-    if d == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (d - 1) + [1]  # x^d - 1
-    for e in range(1, d):
-        if d % e == 0:
-            num, rem = _poly_divmod_exact(num, cyclotomic_poly(e))
-            if rem:
-                raise RuntimeError("cyclotomic division left a remainder")
-    return tuple(num)
+    up, down = [d], []  # d/s over the squarefree s | d with mu(s) = +1, -1
+    for p in _prime_factors(d):
+        up, down = up + [e // p for e in down], down + [e // p for e in up]
+    poly = [1]
+    for e in up:
+        out = [-a for a in poly] + [0] * e
+        for i, a in enumerate(poly):
+            out[i + e] += a
+        poly = out
+    for e in down:
+        quot = [0] * (len(poly) - e)
+        for i in range(len(quot)):
+            quot[i] = (quot[i - e] if i >= e else 0) - poly[i]
+        if any(poly[i] != quot[i - e] for i in range(len(quot), len(poly))):
+            raise RuntimeError("cyclotomic division left a remainder")
+        poly = quot
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
-def _reduction_matrix(d: int) -> tuple[np.ndarray, int]:
-    """(R_d, max |R_d|): row j of the int64 matrix R_d is x^j mod Phi_d.
+def _reduction_matrix(m: int) -> tuple[np.ndarray, int]:
+    """(R_m, max |R_m|) for squarefree m: row j of the int64 matrix R_m is
+    x^j mod Phi_m.
 
     Row j is x times row j - 1, with the x^phi term folded back through
-    Phi_d.  If a step overflowed int64, its input row (still exact) bounds
-    the step's true result by max|R_d| * (1 + max|Phi_d|), so checking that
-    bound once at the end covers every step.  R_d is returned in column-major
-    order, so the integer matmul of ``_canon_rows`` runs down contiguous
-    columns (twice as fast at d = 2000).  Each R_d takes 8 d phi(d) bytes
-    (12.8 MB at d = 2000) for the life of the process.
+    Phi_m.  If a step overflowed int64, its input row (still exact) bounds
+    the step's true result by max|R_m| * (1 + max|Phi_m|), so checking that
+    bound once at the end covers every step.  R_m is returned in column-major
+    order, so the integer products of ``_canon_rows`` read it contiguously.
     """
-    phi_poly = np.array(cyclotomic_poly(d)[:-1], dtype=np.int64)
+    phi_poly = np.array(cyclotomic_poly(m)[:-1], dtype=np.int64)
     n = len(phi_poly)
-    rows = np.zeros((d, n), dtype=np.int64)
+    rows = np.zeros((m, n), dtype=np.int64)
     rows[:n, :n] = np.eye(n, dtype=np.int64)
-    for j in range(n, d):
+    for j in range(n, m):
         prev = rows[j - 1]
         rows[j, 1:] = prev[:-1]
         rows[j] -= prev[-1] * phi_poly
     height = int(np.abs(rows).max())
     if height * (1 + int(np.abs(phi_poly).max())) >= 2**63:
-        raise OverflowError(f"x^j mod Phi_{d} does not fit in int64")
+        raise OverflowError(f"x^j mod Phi_{m} does not fit in int64")
     rows = np.asfortranarray(rows)
     rows.flags.writeable = False
     return rows, height
 
 
-def _fits_int64(counts: np.ndarray, height: int) -> np.ndarray:
-    """Per row of counts, whether sum |counts| * height < 2^63, so that the
-    int64 product with R_d (entries at most height) is exact."""
-    n, d = counts.shape
-    if counts.dtype == np.int64:
-        lim = (2**63 - 1) // (d * height)
-        # a row with every entry in [-lim, lim] has sum |counts| * height < 2^63
-        fits = ((counts >= -lim) & (counts <= lim)).all(axis=1)
-    else:
-        fits = np.zeros(n, dtype=bool)
-    for r in np.flatnonzero(~fits):
-        fits[r] = sum(map(abs, counts[r].tolist())) * height < 2**63
-    return fits
-
-
 def _canon_rows(d: int, counts: np.ndarray) -> np.ndarray:
-    """canon of every row of an (n, d) int64 or object counts matrix.
+    """canon of every row of an (n, d) int64 or object counts matrix, as an
+    (n, phi(d)) int64 matrix, or an object one of Python ints when counts is
+    object or has an entry past (2^63 - 1) // (d max|R_m|).
 
-    Returns an (n, phi) int64 matrix, or an object matrix of Python ints
-    when some row fails the int64 bound and takes the exact object product.
+    With m = rad(d) and k = d/m, count j = b k + r is x^r (x^k)^b, so entry
+    (c, r) of the (n, phi(m), k) product is canon index c k + r.
     """
-    rows, height = _reduction_matrix(d)
+    m = prod(_prime_factors(d))
+    rows, height = _reduction_matrix(m)
     phi = rows.shape[1]
-    fits = _fits_int64(counts, height)
-    if fits.all():
-        counts = counts.astype(np.int64, copy=False)
-        return counts[:, :phi] + counts[:, phi:] @ rows[phi:]
-    canon = np.empty((len(counts), phi), dtype=object)
-    small = counts[fits].astype(np.int64)
-    canon[fits] = small[:, :phi] + small[:, phi:] @ rows[phi:]
-    big = counts[~fits].astype(object)
-    canon[~fits] = big[:, :phi] + big[:, phi:] @ rows[phi:].astype(object)
-    return canon
+    top = rows[phi:].T
+    lim = (2**63 - 1) // (d * height)
+    if counts.dtype != np.int64 or not ((counts >= -lim) & (counts <= lim)).all():
+        counts, top = counts.astype(object), top.astype(object)
+    n, k = len(counts), d // m
+    v = counts.reshape(n, m, k)
+    return (v[:, :phi] + top @ v[:, phi:]).reshape(n, phi * k)
 
 
 class CycElt:

@@ -59,6 +59,9 @@ def test_rank_extension_and_errors(capsys):
     assert rc == 2
     rc, _ = run(capsys, "rank", "--p", "3")
     assert rc == 2
+    rc = main(["rank", "--p", "25"])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (2, "", "error: p = 25 is not prime\n")
 
 
 # ----------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from fermatlines import cyc
 from fermatlines.cyc import (
     CycElt,
     _canon_rows,
-    _poly_divmod_exact,
     accumulate,
     cyclotomic_poly,
     equals_integer,
@@ -22,7 +21,25 @@ from fermatlines.cyc import (
     mod_ideal_class,
 )
 
-DS = [1, 2, 3, 4, 6, 8, 12, 14, 18, 24, 72, 344]
+DS = [1, 2, 3, 4, 6, 8, 12, 14, 18, 24, 30, 72, 105, 210, 344, 1155, 1994, 2000]
+
+
+def _poly_divmod_exact(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials, den monic, low-first."""
+    num = list(num)
+    dn = len(den) - 1
+    if dn == 0:
+        return num, []
+    quot = [0] * max(len(num) - dn, 0)
+    for i in range(len(num) - 1, dn - 1, -1):
+        c = num[i]
+        if c:
+            quot[i - dn] = c
+            for j, dj in enumerate(den):
+                num[i - dn + j] -= c * dj
+    while num and num[-1] == 0:
+        num.pop()
+    return quot, num
 
 
 # ----------------------------------------------------------------------------
@@ -45,7 +62,7 @@ def test_cyclotomic_poly_matches_sympy(d):
     assert list(cyclotomic_poly(d)) == [int(c) for c in expected]
 
 
-@pytest.mark.parametrize("d", [1, 2, 6, 8, 12, 14])
+@pytest.mark.parametrize("d", [1, 2, 6, 8, 12, 14, 30, 105])
 def test_cyclotomic_product_identity(d):
     # prod over e | d of Phi_e = x^d - 1
     prod = [1]
@@ -132,22 +149,40 @@ def test_from_int_matches_the_reduced_counts_without_reducing(monkeypatch, d, m)
         assert CycElt.zero(d) == expected and not CycElt.zero(d)
 
 
-@pytest.mark.parametrize("d", [6, 12, 200, 252])
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_canon_matches_polynomial_division(d, data):
-    # entries past 2^63 force the Python-int product instead of int64
-    entry = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
-    counts = data.draw(st.lists(entry, min_size=d, max_size=d), label="counts")
-    _, rem = _poly_divmod_exact(counts, cyclotomic_poly(d))
-    phi = len(cyclotomic_poly(d)) - 1
-    assert CycElt(d, counts).canon == tuple(rem + [0] * (phi - len(rem)))
+def _counts_rows(d, *bounds):
+    """Length-d integer lists, each entry within +-b for one of the bounds.
+    At d = 2000 such a list is past Hypothesis's input budget, so a seeded
+    Random draws its entries instead."""
+    if d < 2000:
+        entry = st.one_of(*(st.integers(-b, b) for b in bounds))
+        return st.lists(entry, min_size=d, max_size=d)
+    return st.randoms(use_true_random=True).map(
+        lambda r: [r.randint(-b, b) for b in r.choices(bounds, k=d)]
+    )
 
 
-@pytest.mark.parametrize("big", [2**62 - 1, 2**62, 2**63, 2**64])
+@pytest.mark.parametrize("d", [6, 12, 200, 210, 252, 2000])
+def test_canon_matches_polynomial_division(d):
+    # entries past 2^63 force the Python-int product instead of int64; one
+    # oracle row at d = 2000 takes about 0.1 s, so it gets few examples
+    row = _counts_rows(d, 9, 2**70)
+
+    @settings(max_examples=4 if d == 2000 else 40, deadline=None)
+    @given(counts=row)
+    def check(counts):
+        _, rem = _poly_divmod_exact(counts, cyclotomic_poly(d))
+        phi = len(cyclotomic_poly(d)) - 1
+        assert CycElt(d, counts).canon == tuple(rem + [0] * (phi - len(rem)))
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "big", [2**62 - 1, 2**62, 2**63, 2**64, (2**63 - 1) // 12, (2**63 - 1) // 12 + 1]
+)
 def test_canon_exact_at_the_int64_boundary(big):
-    # max |R_12| = 1, so sum |counts| = 2 big < 2^63 takes the int64 product
-    # only for the first size, and the Python-int product for the others
+    # max |R_12| = 1, so an int64 batch takes the int64 product only while
+    # every entry is within (2^63 - 1) // 12, and the Python-int product past it
     counts = [0] * 12
     counts[11] = big
     counts[6] = -big
@@ -160,26 +195,42 @@ def _division_canon(d, counts):
     return tuple(rem + [0] * (len(cyclotomic_poly(d)) - 1 - len(rem)))
 
 
-@pytest.mark.parametrize("d", [6, 12, 200, 252, 344])
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_canon_rows_and_batch_match_per_row_elements(d, data):
-    # rows of small entries take the int64 product; rows with an entry past
-    # 2^63 (object matrix) or with sum |counts| * max |R_d| >= 2^63 (int64
-    # matrix, entries near 2^62) take the Python-int product
-    small = st.lists(st.integers(-5000, 5000), min_size=d, max_size=d)
-    huge = st.lists(st.integers(-(2**70), 2**70), min_size=d, max_size=d)
-    near = st.lists(st.integers(-(2**62), 2**62), min_size=d, max_size=d)
-    big_rows = data.draw(st.sampled_from(["object", "int64"]), label="big rows")
-    row = st.one_of(small, huge if big_rows == "object" else near)
-    rows = data.draw(st.lists(row, min_size=1, max_size=6), label="rows")
-    counts = np.array(rows, dtype=object if big_rows == "object" else np.int64)
-    expected = [CycElt(d, r).canon for r in rows]
-    assert expected == [_division_canon(d, r) for r in rows]
-    assert [tuple(c) for c in _canon_rows(d, counts).tolist()] == expected
-    batch = CycElt.batch(d, counts)
-    assert batch == [CycElt(d, r) for r in rows]
-    assert [e.canon for e in batch] == expected
+@pytest.mark.parametrize("d", [6, 12, 200, 210, 252, 344, 2000])
+def test_canon_rows_and_batch_match_per_row_elements(d):
+    # rows of small entries take the int64 product; a batch with an entry
+    # past 2^63 (object matrix) or past (2^63 - 1) // (d max |R|) (int64
+    # matrix, entries near 2^62) takes the Python-int product
+    small, huge, near = (_counts_rows(d, b) for b in (5000, 2**70, 2**62))
+
+    @settings(max_examples=3 if d == 2000 else 25, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        big_rows = data.draw(st.sampled_from(["object", "int64"]), label="big rows")
+        row = st.one_of(small, huge if big_rows == "object" else near)
+        rows = data.draw(st.lists(row, min_size=1, max_size=6), label="rows")
+        counts = np.array(rows, dtype=object if big_rows == "object" else np.int64)
+        expected = [CycElt(d, r).canon for r in rows]
+        assert expected == [_division_canon(d, r) for r in rows]
+        assert [tuple(c) for c in _canon_rows(d, counts).tolist()] == expected
+        batch = CycElt.batch(d, counts)
+        assert batch == [CycElt(d, r) for r in rows]
+        assert [e.canon for e in batch] == expected
+
+    check()
+
+
+def test_canon_rows_reduce_through_the_radical(monkeypatch):
+    # Phi_2000(x) = Phi_10(x^200): the batch asks for R_10 only, and its
+    # second row, past the int64 bound, sends the whole batch to Python ints
+    asked = []
+    reduction_matrix = cyc._reduction_matrix
+    monkeypatch.setattr(cyc, "_reduction_matrix", lambda m: asked.append(m) or reduction_matrix(m))
+    rows = [list(range(-1000, 1000)), [2**62 - j for j in range(2000)]]
+    canon = _canon_rows(2000, np.array(rows, dtype=np.int64))
+    assert asked == [10]
+    assert canon.dtype == object
+    assert [tuple(c) for c in canon.tolist()] == [_division_canon(2000, r) for r in rows]
+    assert _canon_rows(2000, np.zeros((0, 2000), dtype=np.int64)).shape == (0, 800)
 
 
 def test_canon_rows_mixed_block_keeps_the_int64_rows_exact():
