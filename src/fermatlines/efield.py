@@ -27,9 +27,8 @@ g = x^2 + b*x + c*y + a vanishes at the three conjugates exactly when its
 value at the point is 0 in L1, and its fourth zero P4 gives the sum -P4.
 Elements of L1 appear only as degree-<3 vectors in s reduced modulo m0;
 no extension of K is built, and every CurvePoint has coordinates in K.
-The coordinates are reduced through h = f0*f1*f2/p3, the monic cubic with
-m0 = h(s) - t/p3: the h-adic digits of x and y in F_{q^2}[s], which come
-from repeated division by h, are their coordinates in s over t/p3.
+One product in L1 (``_l1_mul``) serves every coordinate: f0^d and f2^d by
+binary powering, then x, y and x^2 by one product each.
 
 The solve is fraction-free.  m0 is monic with coefficients in F_{q^2}[t], so
 the coordinates reduced modulo m0 are Polys; Cramer's rule keeps the
@@ -181,6 +180,8 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
+        if self.is_zero or other.is_zero:
+            return other if self.is_zero else self
         return Poly(self.ctx, self.ctx.sum_codes(self.codes, other.codes))
 
     def __neg__(self) -> "Poly":
@@ -607,27 +608,31 @@ def _reduce_mod_m0(vec, m0):
     return tuple(vec[:3])
 
 
+def _l1_mul(u, v, m0):
+    """The product in L1 of degree-<3 vectors in s, reduced modulo m0."""
+    prod = [Poly.zero(u[0].ctx)] * 5
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            prod[i + j] = prod[i + j] + a * b
+    return _reduce_mod_m0(prod, m0)
+
+
 def _coordinate_vectors(ctx: FieldCtx, m0, f0: Poly, f2: Poly):
     """The curve coordinates x = -f0^d f2^d, y = -f0^{2d} f2^d along the
-    line, reduced modulo m0 to degree-<3 representatives over F_{q^2}[t].
+    line, as degree-<3 vectors in s over F_{q^2}[t]: F0 = f0^d and F2 = f2^d
+    by left-to-right binary powering in L1, then x = -F0*F2 and y = x*F0.
 
-    m0 = h(s) - t/p3, where h = f0*f1*f2/p3 is the monic cubic of constant
-    coefficients, so h(s) = t/p3 in L1.  The h-adic expansion
-    g = sum_k r_k(s) h(s)^k, deg r_k < 3, by repeated division by h, then
-    gives coordinate j of g as the Poly in t with coefficients
-    r_k[j] * p3^{-k}."""
-    h = Poly(ctx, [(c.codes or (0,))[0] for c in m0] + [1])
-    inv_p3 = -ctx.elem(m0[0].codes[1])  # c0 = p0/p3 - t/p3
-
-    x = -((f0 * f2) ** ctx.d)
-    vectors = []
-    for g in (x, x * f0**ctx.d):
-        rows = []
-        while not g.is_zero:
-            g, r = g.divmod(h)
-            rows.append((r.codes + (0, 0, 0))[:3])
-        vectors.append(tuple(Poly(ctx, col).subst_scale(inv_p3) for col in zip(*rows)))
-    return tuple(vectors)
+    f0 and f2 need no reduction, as both are linear in s: _build_cubic has
+    checked deg f0*f1*f2 = 3 and f0^d + f1^d + f2^d + 1 = 0, and degrees
+    (0, 1, 2) or (0, 0, 3) would leave the top term of one d-th power alone."""
+    b0, b2 = (tuple(Poly(ctx, (c,)) for c in f.codes + (0,)) for f in (f0, f2))
+    F0, F2 = b0, b2
+    for bit in bin(ctx.d)[3:]:
+        F0, F2 = _l1_mul(F0, F0, m0), _l1_mul(F2, F2, m0)
+        if bit == "1":
+            F0, F2 = _l1_mul(F0, b0, m0), _l1_mul(F2, b2, m0)
+    x = tuple(-c for c in _l1_mul(F0, F2, m0))
+    return x, _l1_mul(x, F0, m0)
 
 
 def point_from_components(ctx: FieldCtx, f0: Poly, f1: Poly, f2: Poly) -> CurvePoint:
@@ -671,16 +676,7 @@ def point_from_components(ctx: FieldCtx, f0: Poly, f1: Poly, f2: Poly) -> CurveP
         # 1, xbar, ybar are K-dependent: the conjugates are collinear.
         return CurvePoint.infinity(ctx)
     two = ctx.from_int(2)
-    xsq = _reduce_mod_m0(
-        [
-            x0 * x0,
-            (x0 * x1).scale(two),
-            x1 * x1 + (x0 * x2).scale(two),
-            (x1 * x2).scale(two),
-            x2 * x2,
-        ],
-        m0,
-    )
+    xsq = _l1_mul(xvec, xvec, m0)
     B = xsq[2] * y1 - xsq[1] * y2
     C = xsq[1] * x2 - xsq[2] * x1
     if C.is_zero:

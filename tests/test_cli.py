@@ -255,11 +255,32 @@ POINT_PINS = [
         ("--p", "31", "--thm1"),
         "b3535727268483e98fe601547f84ebd441399c103ac8a8d036938263ad0adb0d",
     ),
+    # recorded from the construction that reduced x and y by the expansion
+    # in powers of f0*f1*f2/p3, before powering in L1 replaced it
+    (
+        ("--p", "43", "--thm1"),
+        "fd2e9958cbd58ba2151e5393f0f4418fed2bd6ce7e4bf7ad9668c051c56b10ab",
+    ),
+    (
+        ("--p", "139", "--thm1"),
+        "76ab5d5d95ed7ea44d1f4c02a6f00a0817e46feb08b1e692c6202b5f86718a2a",
+    ),
+    (
+        ("--p", "307", "--thm1"),
+        "bd6d931befc4d36ab503f373f82afefc56b661a82dcc2cdfd465cea6a2c73ac7",
+        pytest.mark.extended,
+    ),
+    (
+        ("--p", "631", "--thm1"),
+        "264e226ed856805502c14c241bad2e53f58daf7f2b1285ce8dafc0ebc7f4160e",
+        pytest.mark.extended,
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "args,digest", POINT_PINS, ids=[" ".join(a) for a, _ in POINT_PINS]
+    "args,digest",
+    [pytest.param(a, d, marks=m, id=" ".join(a)) for a, d, *m in POINT_PINS],
 )
 def test_point_json_matches_pin(capsys, args, digest):
     rc, out = run(capsys, "point", *args, "--format", "json")

@@ -267,11 +267,22 @@ def poly_of_poly_reduce(ctx, m0, g):
 
 
 @pytest.mark.parametrize(
-    "p,every_line", [(5, True), (7, True), (19, False), (31, False)]
+    "p,every_line",
+    [
+        (5, True),
+        (7, True),
+        (19, False),
+        (31, False),
+        (43, False),
+        (139, False),
+        pytest.param(307, False, marks=pytest.mark.extended),
+    ],
 )
 def test_coordinate_vectors_match_poly_of_poly_reduction(p, every_line):
-    """The h-adic reduction against the Poly-of-Poly one, on every line of
-    find_ab_pairs at q = 5 and 7 and on the thm-1 line at q = 19 and 31."""
+    """Powering in L1 against the Poly-of-Poly reduction of the expanded
+    x and y, on every line of find_ab_pairs at q = 5 and 7 and on the thm-1
+    line at q = 19, 31, 43, 139 and 307.  At q = 7 and 31, d = 8 and 32 are
+    powers of two, so only the other sizes run the multiply step of a 1 bit."""
     ctx = make_field(p)
     if every_line:
         lines = [Line(ctx, a, b) for a, b in find_ab_pairs(ctx)]
