@@ -23,8 +23,6 @@ from .charsum import (
 )
 from .efield import (
     CurvePoint,
-    Poly,
-    RatFunc,
     construct_point,
     curve_add,
     curve_neg,
@@ -46,6 +44,7 @@ from .fermat import (
     lines_for_c,
     w_tuples,
 )
+from .poly import Poly, RatFunc
 from .cyc import (
     CycElt,
     accumulate,

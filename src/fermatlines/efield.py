@@ -4,11 +4,8 @@ that turns a surface line into a rational point of E.
 
 Layers
 ------
-``Poly``        dense polynomials over F_{q^2}, low degree first.  Sums work
-                on base-p digit arrays; every product is one Kronecker
-                big-int product (``_kron``), and division takes the quotient
-                top down and the remainder from one kernel product.
-``RatFunc``     canonical rational functions: gcd-reduced, monic denominator.
+``Poly``, ``RatFunc``  F_{q^2}[t] on the Kronecker kernel, and canonical
+                rational functions over it (the ``poly`` module).
 ``CurvePoint``  a point of E with coordinates in K = F_{q^2}(t).
 
 The construction: a line with components (f0, f1, f2) (fourth coordinate
@@ -27,8 +24,9 @@ g = x^2 + b*x + c*y + a vanishes at the three conjugates exactly when its
 value at the point is 0 in L1, and its fourth zero P4 gives the sum -P4.
 Elements of L1 appear only as degree-<3 vectors in s reduced modulo m0;
 no extension of K is built, and every CurvePoint has coordinates in K.
-One product in L1 (``_l1_mul``) serves every coordinate: f0^d and f2^d by
-binary powering, then x, y and x^2 by one product each.
+One product in L1 (``_l1_mul``), a single kernel product of the two
+vectors packed in t, serves every coordinate: f0^d and f2^d by binary
+powering, then x, y and x^2 by one product each.
 
 The solve is fraction-free.  m0 is monic with coefficients in F_{q^2}[t], so
 the coordinates reduced modulo m0 are Polys; Cramer's rule keeps the
@@ -40,17 +38,14 @@ translation t -> zeta*t only makes the denominator monic again.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .fermat import Line
 from .gf import ContradictionError, FieldCtx, FqElem, in_mu_d
+from .poly import Poly, RatFunc, _kron, _mul_matrix, _strip
 
 __all__ = [
     "CurvePoint",
-    "Poly",
-    "RatFunc",
     "construct_point",
     "curve_add",
     "curve_neg",
@@ -58,388 +53,6 @@ __all__ = [
     "mu_d_translate",
     "point_from_components",
 ]
-
-
-# ---------------------------------------------------------------------------
-# the Kronecker kernel: F_{q^2}[t] products on one big-int product
-# ---------------------------------------------------------------------------
-
-
-def _slot_dtype(ctx: FieldCtx, m: int) -> np.dtype:
-    """The narrowest of the 16, 32 and 64-bit slots that holds a sum of
-    m * 2k digit products, each at most (p - 1)^2."""
-    bound = m * ctx.deg * (ctx.p - 1) ** 2
-    for bits in (16, 32, 64):
-        if bound >> bits == 0:
-            return np.dtype(f"<u{bits // 8}")
-    raise OverflowError(f"Kronecker slot bound {bound} exceeds 64 bits")
-
-
-@lru_cache(maxsize=None)
-def _fold(ctx: FieldCtx) -> np.ndarray:
-    """The (4k - 1) x 2k matrix whose row j holds the digits of w^j; read-only,
-    since every product shares it."""
-    w = ctx.elem(ctx.p)  # the code with digits (0, 1, 0, ...)
-    fold = ctx.digit_rows([(w**j).code for j in range(2 * ctx.deg - 1)])
-    fold.flags.writeable = False
-    return fold
-
-
-def _kron(ctx: FieldCtx, a, b) -> np.ndarray:
-    """Digits of the product of the code sequences a and b, one row per
-    coefficient (Kronecker substitution; Harvey, J. Symb. Comp. 2009).
-
-    Each coefficient is packed as its 2k digits into byte-aligned slots of
-    one Python int, 4k - 1 slots per coefficient: room for the degree-(4k-2)
-    product in w of two coefficients.  After one big-int product, slot j of
-    coefficient i holds the integer coefficient of t^i w^j, and the fold
-    matrix takes each w^j back to the basis 1, ..., w^{2k-1}.
-    """
-    stride, dtype = 2 * ctx.deg - 1, _slot_dtype(ctx, min(len(a), len(b)))
-    slots = np.zeros((len(a) + len(b), stride), dtype)
-    slots[:, : ctx.deg] = ctx.digit_rows([*a, *b])
-    x = int.from_bytes(slots[: len(a)].tobytes(), "little")
-    y = int.from_bytes(slots[len(a) :].tobytes(), "little")
-    size = (len(a) + len(b) - 1) * stride
-    packed = (x * y).to_bytes(size * dtype.itemsize, "little")
-    # each slot widened to 8 bytes and reduced mod p as uint64 before the fold,
-    # since a 64-bit slot may pass 2^63; no numpy cast runs (FieldCtx.digit_rows)
-    wide = np.zeros(size, "<u8")
-    wide.view(dtype)[:: 8 // dtype.itemsize] = np.frombuffer(packed, dtype)
-    return (wide % ctx.p).view("<i8").reshape(-1, stride) @ _fold(ctx) % ctx.p
-
-
-# ---------------------------------------------------------------------------
-# dense polynomials over F_{q^2}
-# ---------------------------------------------------------------------------
-
-
-class Poly:
-    """Dense polynomial over F_{q^2}; coefficient codes, low degree first.
-
-    Invariant: no trailing zero coefficients; the zero polynomial is the
-    empty coefficient vector.
-    """
-
-    __slots__ = ("ctx", "codes")
-
-    def __init__(self, ctx: FieldCtx, codes):
-        codes = list(codes)
-        while codes and codes[-1] == 0:
-            codes.pop()
-        self.ctx = ctx
-        self.codes = tuple(codes)
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, ())
-
-    @classmethod
-    def one(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, (1,))
-
-    @classmethod
-    def variable(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, (0, 1))
-
-    @classmethod
-    def from_fp(cls, ctx: FieldCtx, ints) -> "Poly":
-        """Coefficients given as integers, reduced into the prime field."""
-        return cls(ctx, [ctx.from_int(int(a)).code for a in ints])
-
-    @classmethod
-    def from_elems(cls, ctx: FieldCtx, elems) -> "Poly":
-        codes = []
-        for e in elems:
-            if not isinstance(e, FqElem) or e.ctx is not ctx:
-                raise ValueError("coefficients must be FqElem of the same field")
-            codes.append(e.code)
-        return cls(ctx, codes)
-
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        return len(self.codes) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.codes
-
-    @property
-    def lead_code(self) -> int:
-        return self.codes[-1] if self.codes else 0
-
-    def _check(self, other: "Poly"):
-        if not isinstance(other, Poly) or other.ctx is not self.ctx:
-            raise ValueError("polynomials over different fields")
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            return other if self.is_zero else self
-        return Poly(self.ctx, self.ctx.sum_codes(self.codes, other.codes))
-
-    def __neg__(self) -> "Poly":
-        neg = self.ctx.neg_code
-        return Poly(self.ctx, [neg(c) for c in self.codes])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        a, b = self.codes, other.codes
-        if not a or not b:
-            return Poly.zero(self.ctx)
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:
-            return Poly(self.ctx, a).scale(FqElem(self.ctx, b[0]))
-        return Poly(self.ctx, self.ctx.row_codes(_kron(self.ctx, a, b)))
-
-    def scale(self, e: FqElem) -> "Poly":
-        mul = self.ctx.mul_codes
-        return Poly(self.ctx, [mul(c, e.code) for c in self.codes])
-
-    def __pow__(self, e: int) -> "Poly":
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        result = Poly.one(self.ctx)
-        for bit in bin(e)[2:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
-
-    def divmod(self, other: "Poly"):
-        """Quotient and remainder.  Quotient coefficient i, top down, is
-        (a[i + db] - sum_j quot[i + db - j] * b[j]) / lead(b), a sum over
-        the min(db, dq - i) coefficients of b below the lead that reach it;
-        the remainder is the low db coefficients of a - quot*b, one kernel
-        product of the low parts."""
-        self._check(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        ctx, a, b = self.ctx, self.codes, other.codes
-        db, dq = len(b) - 1, len(a) - len(b)
-        if dq < 0:
-            return Poly.zero(ctx), self
-        add, mul, neg = ctx.add_codes, ctx.mul_codes, ctx.neg_code
-        minus_inv_lead = neg(ctx.elem(b[-1]).inverse().code)
-        nq = [0] * (dq + 1)  # the negated quotient: the remainder is a + nq*b
-        for i in range(dq, -1, -1):
-            c = a[i + db]
-            for j in range(max(0, i + db - dq), db):
-                c = add(c, mul(nq[i + db - j], b[j]))
-            nq[i] = mul(c, minus_inv_lead)
-        quot = Poly(ctx, [neg(c) for c in nq])
-        if db == 0:
-            return quot, Poly.zero(ctx)
-        low = _kron(ctx, nq[:db], b[:db])[:db]
-        return quot, Poly(ctx, ctx.row_codes(ctx.sum_rows(ctx.digit_rows(a[:db]), low)))
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return self.scale(self.ctx.elem(self.lead_code).inverse())
-
-    def gcd(self, other: "Poly") -> "Poly":
-        self._check(other)
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
-
-    def eval(self, x: FqElem) -> FqElem:
-        add, mul = self.ctx.add_codes, self.ctx.mul_codes
-        acc = 0
-        for c in reversed(self.codes):
-            acc = add(mul(acc, x.code), c)
-        return self.ctx.elem(acc)
-
-    def subst_scale(self, zeta: FqElem) -> "Poly":
-        """The substitution t -> zeta*t: coefficient i picks up zeta^i."""
-        mul = self.ctx.mul_codes
-        codes = [mul(c, (zeta**i).code) for i, c in enumerate(self.codes)]
-        return Poly(self.ctx, codes)
-
-    # -- comparison / rendering --------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return (
-            self.ctx.p == other.ctx.p
-            and self.ctx.k == other.ctx.k
-            and self.codes == other.codes
-        )
-
-    def __hash__(self):
-        return hash((self.ctx.p, self.ctx.k, self.codes))
-
-    def to_coeff_vectors(self):
-        """JSON form: one coordinate vector mod p per coefficient."""
-        return [list(self.ctx.decode(c)) for c in self.codes]
-
-    def pretty(self, var: str = "t") -> str:
-        """Human-readable form, prime-field coefficients rendered as signed
-        representatives in [-(p-1)/2, (p-1)/2], highest degree first."""
-        out = ""
-        for i in range(self.degree, -1, -1):
-            digits = self.ctx.decode(self.codes[i])
-            if any(digits[1:]):
-                sign, body = "+", f"({self.ctx.elem(self.codes[i])})"
-            elif digits[0]:
-                mag = min(digits[0], self.ctx.p - digits[0])
-                sign = "+" if mag == digits[0] else "-"
-                body = "" if mag == 1 and i else str(mag)
-            else:
-                continue
-            power = "" if i == 0 else var if i == 1 else f"{var}^{i}"
-            out += f" {sign} {body}{power}"
-        return (out[3:] if out[1] == "+" else "-" + out[3:]) if out else "0"
-
-    def __repr__(self):
-        return f"Poly({self.pretty()!r})"
-
-
-# ---------------------------------------------------------------------------
-# canonical rational functions
-# ---------------------------------------------------------------------------
-
-
-class RatFunc:
-    """Element of F_{q^2}(t) in canonical form: gcd(num, den) = 1, den monic.
-
-    Every arithmetic operation returns the canonical form, so equality is
-    component-wise equality.
-    """
-
-    __slots__ = ("ctx", "num", "den")
-
-    def __init__(self, num: Poly, den: Poly):
-        if not isinstance(num, Poly) or not isinstance(den, Poly):
-            raise ValueError("RatFunc needs Poly numerator and denominator")
-        if num.ctx is not den.ctx:
-            raise ValueError("numerator and denominator over different fields")
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        g = num.gcd(den)  # den.monic() when num = 0, leaving 0/1
-        if g.degree > 0:
-            num, den = num.divmod(g)[0], den.divmod(g)[0]
-        lead_inv = num.ctx.elem(den.lead_code).inverse()
-        self.ctx, self.num, self.den = num.ctx, num.scale(lead_inv), den.scale(lead_inv)
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def _canonical(cls, num: Poly, den: Poly) -> "RatFunc":
-        """Wrap a pair already in canonical form, skipping the gcd."""
-        out = object.__new__(cls)
-        out.ctx, out.num, out.den = num.ctx, num, den
-        return out
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p, Poly.one(p.ctx))
-
-    @classmethod
-    def one(cls, ctx: FieldCtx) -> "RatFunc":
-        return cls(Poly.one(ctx), Poly.one(ctx))
-
-    @classmethod
-    def t(cls, ctx: FieldCtx) -> "RatFunc":
-        return cls(Poly.variable(ctx), Poly.one(ctx))
-
-    @classmethod
-    def const(cls, ctx: FieldCtx, e) -> "RatFunc":
-        if isinstance(e, int):
-            e = ctx.from_int(e)
-        return cls(Poly.from_elems(ctx, [e]), Poly.one(ctx))
-
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __bool__(self) -> bool:
-        return not self.num.is_zero
-
-    def _check(self, other):
-        if not isinstance(other, RatFunc) or other.ctx is not self.ctx:
-            raise ValueError("rational functions over different fields")
-
-    # -- field arithmetic ---------------------------------------------------
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        self._check(other)
-        return RatFunc(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc._canonical(-self.num, self.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return self + (-other)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        self._check(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def inverse(self) -> "RatFunc":
-        if self.is_zero:
-            raise ZeroDivisionError("inverting zero rational function")
-        return RatFunc(self.den, self.num)
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        self._check(other)
-        return self * other.inverse()
-
-    def __pow__(self, e: int) -> "RatFunc":
-        if e < 0:
-            return self.inverse() ** (-e)
-        return RatFunc(self.num**e, self.den**e)
-
-    def subst_scale(self, zeta: FqElem) -> "RatFunc":
-        """t -> zeta*t is a ring automorphism of F_{q^2}[t], so it keeps
-        gcd(num, den) = 1; only the denominator has to be made monic again."""
-        num, den = self.num.subst_scale(zeta), self.den.subst_scale(zeta)
-        lead_inv = self.ctx.elem(den.lead_code).inverse()
-        return RatFunc._canonical(num.scale(lead_inv), den.scale(lead_inv))
-
-    # -- comparison / rendering --------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def to_json_dict(self):
-        return {
-            "num": self.num.to_coeff_vectors(),
-            "den": self.den.to_coeff_vectors(),
-        }
-
-    def pretty(self, var: str = "t") -> str:
-        if self.den == Poly.one(self.ctx):
-            return self.num.pretty(var)
-        return f"({self.num.pretty(var)})/({self.den.pretty(var)})"
-
-    def __repr__(self):
-        return f"RatFunc({self.pretty()!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -596,25 +209,40 @@ def _build_cubic(ctx: FieldCtx, f0: Poly, f1: Poly, f2: Poly):
     return Poly(ctx, [h0, (-inv_p3).code]), Poly(ctx, [h1]), Poly(ctx, [h2])
 
 
-def _reduce_mod_m0(vec, m0):
-    """Reduce a list of at least three Poly coefficients (low degree in s
-    first) modulo the monic m0 = s^3 + c2*s^2 + c1*s + c0; with c0, c1, c2
-    in F_{q^2}[t] the remainder stays in F_{q^2}[t], so no fraction is ever
-    formed."""
-    vec = list(vec)
-    for i in range(len(vec) - 1, 2, -1):
-        for j, c in enumerate(m0):
-            vec[i - 3 + j] = vec[i - 3 + j] - vec[i] * c
-    return tuple(vec[:3])
-
-
 def _l1_mul(u, v, m0):
-    """The product in L1 of degree-<3 vectors in s, reduced modulo m0."""
-    prod = [Poly.zero(u[0].ctx)] * 5
-    for i, a in enumerate(u):
-        for j, b in enumerate(v):
-            prod[i + j] = prod[i + j] + a * b
-    return _reduce_mod_m0(prod, m0)
+    """The product in L1 of degree-<3 vectors in s, reduced modulo m0.
+
+    Each vector is packed at a stride D in t, D past the t-degree of every
+    coordinate product, so one kernel product holds the five coefficients in
+    s of the product as blocks of D rows.  The s^4 block and then the s^3
+    block fold through s^3 = -(c2*s^2 + c1*s + c0), where c1 and c2 are
+    constants and c0 = e0 + e1*t is linear in t (_build_cubic): each fold is
+    one product with the matrices of multiplication by c2, c1, e0 and e1,
+    the e1 part shifted by t, one row down."""
+    ctx = u[0].ctx
+    lu, lv = (max(len(c.rows) for c in vec) for vec in (u, v))
+    if not lu or not lv:
+        return (Poly.zero(ctx),) * 3
+    stride, deg, p = lu + lv - 1, ctx.deg, ctx.p
+
+    def packed(vec, n):
+        rows = np.zeros((2 * stride + n, deg), np.int64)
+        for i, c in enumerate(vec):
+            rows[i * stride : i * stride + len(c.rows)] = c.rows
+        return rows
+
+    blocks = np.zeros((5, stride + 1, deg), np.int64)
+    product = _kron(ctx, packed(u, lu), packed(v, lv))
+    blocks[:, :stride] = product.reshape(5, stride, deg)
+    c0, c1, c2 = (c.codes + (0, 0) for c in m0)
+    fold = np.hstack([_mul_matrix(ctx, c) for c in (c2[0], c1[0], c0[0], c0[1])])
+    for k in (4, 3):
+        terms = (blocks[k, :stride] % p @ fold).reshape(stride, 4, deg)
+        blocks[k - 1, :stride] -= terms[:, 0]
+        blocks[k - 2, :stride] -= terms[:, 1]
+        blocks[k - 3, :stride] -= terms[:, 2]
+        blocks[k - 3, 1:] -= terms[:, 3]
+    return tuple(Poly._of(ctx, _strip(b)) for b in blocks[:3] % p)
 
 
 def _coordinate_vectors(ctx: FieldCtx, m0, f0: Poly, f2: Poly):

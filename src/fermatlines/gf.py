@@ -361,11 +361,9 @@ class FieldCtx:
 
     # -- vectorized digits ----------------------------------------------------
     #
-    # These use only numpy operations whose machine code make_field has
-    # already paged in: %, divmod (which shares that loop), int64 matmul and
-    # casts on assignment.  Any other loop, such as // or +, pages in about
-    # 64 KB more of numpy in every process that does Poly arithmetic, which
-    # shows in its peak RSS.
+    # A Poly keeps its coefficients as such a digit array, one row per
+    # coefficient; these two convert at its edges, where codes come in and
+    # where they are compared or rendered.
 
     def digit_rows(self, codes) -> np.ndarray:
         """The len(codes) x 2k int64 array of the base-p digits of the codes."""
@@ -375,22 +373,6 @@ class FieldCtx:
     def row_codes(self, digits: np.ndarray) -> list:
         """Python-int codes of the rows of a digit array already reduced mod p."""
         return (digits @ self._pows).tolist()
-
-    def sum_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """(x + y) mod p for digit arrays, y no longer than x and padded with
-        zero rows.  Each array is read as one little-endian Python int; the
-        digits are below p, so the two ints add without carries between them."""
-        x, y = x.astype("<i8", copy=False), y.astype("<i8", copy=False)
-        total = int.from_bytes(x.tobytes(), "little")
-        total += int.from_bytes(y.tobytes(), "little")
-        rows = np.frombuffer(total.to_bytes(x.nbytes, "little"), "<i8")
-        return rows.reshape(x.shape) % self.p
-
-    def sum_codes(self, a, b) -> list:
-        """Codes of a[i] + b[i], the shorter sequence padded with zeros."""
-        a, b = sorted((a, b), key=len, reverse=True)
-        rows = self.digit_rows([*a, *b])
-        return self.row_codes(self.sum_rows(rows[: len(a)], rows[len(a) :]))
 
     # -- vectorized sweep support -------------------------------------------
 

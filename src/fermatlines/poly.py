@@ -1,0 +1,504 @@
+"""Dense polynomials F_{q^2}[t] and canonical rational functions F_{q^2}(t).
+
+A ``Poly`` keeps its coefficients as the n x 2k int64 array of their base-p
+digits, low degree first, with no trailing zero rows: the layout that the
+Kronecker kernel ``_kron`` reads and writes, so no operation converts codes
+to digits.  A sum or difference is one padded numpy sum reduced mod p, a
+constant multiple is one product with the 2k x 2k matrix over F_p of
+multiplication by the constant, and a product of two polynomials is one
+big-int product (Kronecker substitution; Harvey, J. Symb. Comp. 2009).
+The integer codes, which comparison, hashing and rendering read, are
+derived from the digits once per polynomial.
+
+Division takes a short quotient top down, one coefficient at a time, and a
+long one from a Newton inverse of the reversed divisor (von zur Gathen and
+Gerhard, Modern Computer Algebra, 9.1): both the inverse and the quotient
+are kernel products.  The remainder is one kernel product of the low parts.
+
+``RatFunc`` is a pair of Polys in canonical form: gcd-reduced, with a monic
+denominator.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
+
+from .gf import FieldCtx, FqElem
+
+__all__ = ["Poly", "RatFunc"]
+
+# Quotients with dq = deg(a) - deg(b) below this are taken top down.  Timed
+# one divmod at a time at q = 7, 139 and 1999 with db = 8, 64 and 512 (one
+# core, best of 3 x 20 calls), the loop took 42-66 us at dq = 1, where a
+# Newton quotient took 91-121 us, and the two met near dq = 12 (213-518 us
+# against 229-473 us); at dq = 16 the loop took 277-743 us and Newton
+# 214-565 us.  Euclid's many dq = 1 steps keep the loop.
+_NEWTON_DQ = 16
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker kernel: F_{q^2}[t] products on one big-int product
+# ---------------------------------------------------------------------------
+
+
+def _slot_dtype(ctx: FieldCtx, m: int) -> np.dtype:
+    """The narrowest of the 16, 32 and 64-bit slots that holds a sum of
+    m * 2k digit products, each at most (p - 1)^2."""
+    bound = m * ctx.deg * (ctx.p - 1) ** 2
+    for bits in (16, 32, 64):
+        if bound >> bits == 0:
+            return np.dtype(f"<u{bits // 8}")
+    raise OverflowError(f"Kronecker slot bound {bound} exceeds 64 bits")
+
+
+@lru_cache(maxsize=None)
+def _fold(ctx: FieldCtx) -> np.ndarray:
+    """The (4k - 1) x 2k matrix whose row j holds the digits of w^j; read-only,
+    since every product shares it."""
+    w = ctx.elem(ctx.p)  # the code with digits (0, 1, 0, ...)
+    fold = ctx.digit_rows([(w**j).code for j in range(2 * ctx.deg - 1)])
+    fold.flags.writeable = False
+    return fold
+
+
+@lru_cache(maxsize=1024)
+def _mul_matrix(ctx: FieldCtx, code: int) -> np.ndarray:
+    """The 2k x 2k matrix over F_p of multiplication by the element ``code``:
+    row j holds the digits of code * w^j, and w^j has the code p^j."""
+    matrix = ctx.digit_rows([ctx.mul_codes(code, ctx.p**j) for j in range(ctx.deg)])
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _kron(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The digit array of the product of the digit arrays a and b, one row
+    per coefficient, len(a) + len(b) - 1 rows (Kronecker substitution).
+
+    Each coefficient is packed as its 2k digits into byte-aligned slots of
+    one Python int, 4k - 1 slots per coefficient: room for the degree-(4k-2)
+    product in w of two coefficients.  After one big-int product, slot j of
+    coefficient i holds the integer coefficient of t^i w^j, and the fold
+    matrix takes each w^j back to the basis 1, ..., w^{2k-1}.
+    """
+    stride, dtype = 2 * ctx.deg - 1, _slot_dtype(ctx, min(len(a), len(b)))
+    slots = np.zeros((len(a) + len(b), stride), dtype)
+    slots[: len(a), : ctx.deg] = a
+    slots[len(a) :, : ctx.deg] = b
+    x = int.from_bytes(slots[: len(a)].tobytes(), "little")
+    y = int.from_bytes(slots[len(a) :].tobytes(), "little")
+    size = (len(a) + len(b) - 1) * stride
+    packed = (x * y).to_bytes(size * dtype.itemsize, "little")
+    # each slot widened to 8 bytes and reduced mod p as uint64 before the fold,
+    # since a 64-bit slot may pass 2^63
+    wide = np.zeros(size, "<u8")
+    wide.view(dtype)[:: 8 // dtype.itemsize] = np.frombuffer(packed, dtype)
+    return (wide % ctx.p).view("<i8").reshape(-1, stride) @ _fold(ctx) % ctx.p
+
+
+def _strip(rows: np.ndarray) -> np.ndarray:
+    """The digit array without its trailing zero rows."""
+    nonzero = np.flatnonzero(rows)
+    return rows[: nonzero[-1] // rows.shape[1] + 1] if len(nonzero) else rows[:0]
+
+
+def _reciprocal(ctx: FieldCtx, rev: np.ndarray, n: int) -> np.ndarray:
+    """The n digit rows of rev^{-1} mod t^n, for rev with a nonzero constant
+    term, by Newton doubling: inv <- inv * (2 - rev * inv) doubles the
+    precision at which rev * inv = 1."""
+    lead = ctx.elem(ctx.row_codes(rev[:1])[0]).inverse()
+    inv = ctx.digit_rows([lead.code])
+    precisions = []
+    while n > 1:
+        precisions.append(n)
+        n = (n + 1) // 2
+    for m in reversed(precisions):
+        err = -_kron(ctx, rev[:m], inv)[:m]
+        err[0, 0] += 2
+        inv = _kron(ctx, inv, err % ctx.p)[:m]
+    return inv
+
+
+# ---------------------------------------------------------------------------
+# dense polynomials over F_{q^2}
+# ---------------------------------------------------------------------------
+
+
+class Poly:
+    """Dense polynomial over F_{q^2}: ``rows`` holds the base-p digits of the
+    coefficients, low degree first, and ``codes`` their integer codes.
+
+    Invariant: no trailing zero rows; the zero polynomial has no rows.
+    """
+
+    __slots__ = ("ctx", "rows", "_codes")
+
+    def __init__(self, ctx: FieldCtx, codes):
+        codes = list(codes)
+        while codes and codes[-1] == 0:
+            codes.pop()
+        self.ctx = ctx
+        self.rows = ctx.digit_rows(codes)
+        self._codes = tuple(codes)
+
+    @classmethod
+    def _of(cls, ctx: FieldCtx, rows: np.ndarray) -> "Poly":
+        """Wrap a digit array that has no trailing zero rows."""
+        out = object.__new__(cls)
+        out.ctx, out.rows, out._codes = ctx, rows, None
+        return out
+
+    # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def zero(cls, ctx: FieldCtx) -> "Poly":
+        return cls(ctx, ())
+
+    @classmethod
+    def one(cls, ctx: FieldCtx) -> "Poly":
+        return cls(ctx, (1,))
+
+    @classmethod
+    def variable(cls, ctx: FieldCtx) -> "Poly":
+        return cls(ctx, (0, 1))
+
+    @classmethod
+    def from_fp(cls, ctx: FieldCtx, ints) -> "Poly":
+        """Coefficients given as integers, reduced into the prime field."""
+        return cls(ctx, [ctx.from_int(int(a)).code for a in ints])
+
+    @classmethod
+    def from_elems(cls, ctx: FieldCtx, elems) -> "Poly":
+        codes = []
+        for e in elems:
+            if not isinstance(e, FqElem) or e.ctx is not ctx:
+                raise ValueError("coefficients must be FqElem of the same field")
+            codes.append(e.code)
+        return cls(ctx, codes)
+
+    # -- structure ----------------------------------------------------------
+
+    @property
+    def codes(self) -> tuple:
+        if self._codes is None:
+            self._codes = tuple(self.ctx.row_codes(self.rows))
+        return self._codes
+
+    @property
+    def degree(self) -> int:
+        return len(self.rows) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not len(self.rows)
+
+    @property
+    def lead_code(self) -> int:
+        return self.ctx.row_codes(self.rows[-1:])[0] if len(self.rows) else 0
+
+    def _check(self, other: "Poly"):
+        if not isinstance(other, Poly) or other.ctx is not self.ctx:
+            raise ValueError("polynomials over different fields")
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def __add__(self, other: "Poly") -> "Poly":
+        self._check(other)
+        if self.is_zero or other.is_zero:
+            return other if self.is_zero else self
+        short, rows = sorted((self.rows, other.rows), key=len)
+        rows = rows.copy()
+        rows[: len(short)] += short
+        rows %= self.ctx.p
+        # only a sum of equal lengths can cancel the lead
+        return Poly._of(self.ctx, _strip(rows) if len(short) == len(rows) else rows)
+
+    def __neg__(self) -> "Poly":
+        return Poly._of(self.ctx, -self.rows % self.ctx.p)
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        self._check(other)
+        if other.is_zero:
+            return self
+        a, b = self.rows, other.rows
+        if len(a) >= len(b):
+            rows = a.copy()
+            rows[: len(b)] -= b
+        else:
+            rows = -b
+            rows[: len(a)] += a
+        rows %= self.ctx.p
+        return Poly._of(self.ctx, _strip(rows) if len(a) == len(b) else rows)
+
+    def __mul__(self, other: "Poly") -> "Poly":
+        self._check(other)
+        a, b = self, other
+        if a.is_zero or b.is_zero:
+            return Poly.zero(self.ctx)
+        if a.degree == 0:
+            a, b = b, a
+        if b.degree == 0:
+            return a._times(b.lead_code)
+        # over a field the product of the two leads is not zero
+        return Poly._of(self.ctx, _kron(self.ctx, a.rows, b.rows))
+
+    def _times(self, code: int) -> "Poly":
+        """The constant multiple by the element ``code``."""
+        ctx = self.ctx
+        if not code:
+            return Poly.zero(ctx)
+        return Poly._of(ctx, self.rows @ _mul_matrix(ctx, code) % ctx.p)
+
+    def scale(self, e: FqElem) -> "Poly":
+        return self._times(e.code)
+
+    def __pow__(self, e: int) -> "Poly":
+        if e < 0:
+            raise ValueError("negative polynomial power")
+        result = Poly.one(self.ctx)
+        for bit in bin(e)[2:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
+        return result
+
+    def divmod(self, other: "Poly"):
+        """Quotient and remainder.  A quotient with dq < _NEWTON_DQ is taken
+        top down: coefficient i is (a[i + db] - sum_j quot[i + db - j] * b[j])
+        / lead(b), a sum over the min(db, dq - i) coefficients of b below the
+        lead that reach it.  A longer one is rev(a) * rev(b)^{-1} mod t^{dq+1},
+        reversed, with rev the coefficients in reverse order.  The remainder
+        is the low db coefficients of a - quot*b, one kernel product of the
+        low parts."""
+        self._check(other)
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        ctx, a, b = self.ctx, self.rows, other.rows
+        db, dq = len(b) - 1, len(a) - len(b)
+        if dq < 0:
+            return Poly.zero(ctx), self
+        if dq < _NEWTON_DQ:
+            quot = -ctx.digit_rows(self._negated_quotient(other, dq)) % ctx.p
+        else:
+            inv = _reciprocal(ctx, b[::-1], dq + 1)
+            quot = _kron(ctx, a[db:][::-1], inv)[dq::-1]
+        if db == 0:
+            return Poly._of(ctx, quot), Poly.zero(ctx)
+        rem = a[:db] - _kron(ctx, quot[:db], b[:db])[:db]
+        return Poly._of(ctx, quot), Poly._of(ctx, _strip(rem % ctx.p))
+
+    def _negated_quotient(self, other: "Poly", dq: int) -> list:
+        """The codes of -(self // other), top down with the scalar field ops."""
+        a, b = self.codes, other.codes
+        db = len(b) - 1
+        add, mul, neg = self.ctx.add_codes, self.ctx.mul_codes, self.ctx.neg_code
+        minus_inv_lead = neg(self.ctx.elem(b[-1]).inverse().code)
+        nq = [0] * (dq + 1)  # the remainder is a + nq*b
+        for i in range(dq, -1, -1):
+            c = a[i + db]
+            for j in range(max(0, i + db - dq), db):
+                c = add(c, mul(nq[i + db - j], b[j]))
+            nq[i] = mul(c, minus_inv_lead)
+        return nq
+
+    def __mod__(self, other: "Poly") -> "Poly":
+        return self.divmod(other)[1]
+
+    def monic(self) -> "Poly":
+        if self.is_zero:
+            return self
+        return self.scale(self.ctx.elem(self.lead_code).inverse())
+
+    def gcd(self, other: "Poly") -> "Poly":
+        self._check(other)
+        a, b = self, other
+        while not b.is_zero:
+            a, b = b, a % b
+        return a.monic()
+
+    def eval(self, x: FqElem) -> FqElem:
+        add, mul = self.ctx.add_codes, self.ctx.mul_codes
+        acc = 0
+        for c in reversed(self.codes):
+            acc = add(mul(acc, x.code), c)
+        return self.ctx.elem(acc)
+
+    def subst_scale(self, zeta: FqElem) -> "Poly":
+        """The substitution t -> zeta*t: coefficient i picks up zeta^i, a
+        running product."""
+        mul, power, codes = self.ctx.mul_codes, 1, []
+        for c in self.codes:
+            codes.append(mul(c, power))
+            power = mul(power, zeta.code)
+        return Poly(self.ctx, codes)
+
+    # -- comparison / rendering --------------------------------------------
+
+    def __eq__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return (
+            self.ctx.p == other.ctx.p
+            and self.ctx.k == other.ctx.k
+            and self.codes == other.codes
+        )
+
+    def __hash__(self):
+        return hash((self.ctx.p, self.ctx.k, self.codes))
+
+    def to_coeff_vectors(self):
+        """JSON form: one coordinate vector mod p per coefficient."""
+        return self.rows.tolist()
+
+    def pretty(self, var: str = "t") -> str:
+        """Human-readable form, prime-field coefficients rendered as signed
+        representatives in [-(p-1)/2, (p-1)/2], highest degree first."""
+        out = ""
+        for i in range(self.degree, -1, -1):
+            digits = self.ctx.decode(self.codes[i])
+            if any(digits[1:]):
+                sign, body = "+", f"({self.ctx.elem(self.codes[i])})"
+            elif digits[0]:
+                mag = min(digits[0], self.ctx.p - digits[0])
+                sign = "+" if mag == digits[0] else "-"
+                body = "" if mag == 1 and i else str(mag)
+            else:
+                continue
+            power = "" if i == 0 else var if i == 1 else f"{var}^{i}"
+            out += f" {sign} {body}{power}"
+        return (out[3:] if out[1] == "+" else "-" + out[3:]) if out else "0"
+
+    def __repr__(self):
+        return f"Poly({self.pretty()!r})"
+
+
+# ---------------------------------------------------------------------------
+# canonical rational functions
+# ---------------------------------------------------------------------------
+
+
+class RatFunc:
+    """Element of F_{q^2}(t) in canonical form: gcd(num, den) = 1, den monic.
+
+    Every arithmetic operation returns the canonical form, so equality is
+    component-wise equality.
+    """
+
+    __slots__ = ("ctx", "num", "den")
+
+    def __init__(self, num: Poly, den: Poly):
+        if not isinstance(num, Poly) or not isinstance(den, Poly):
+            raise ValueError("RatFunc needs Poly numerator and denominator")
+        if num.ctx is not den.ctx:
+            raise ValueError("numerator and denominator over different fields")
+        if den.is_zero:
+            raise ZeroDivisionError("zero denominator")
+        g = num.gcd(den)  # den.monic() when num = 0, leaving 0/1
+        if g.degree > 0:
+            num, den = num.divmod(g)[0], den.divmod(g)[0]
+        lead_inv = num.ctx.elem(den.lead_code).inverse()
+        self.ctx, self.num, self.den = num.ctx, num.scale(lead_inv), den.scale(lead_inv)
+
+    # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, num: Poly, den: Poly) -> "RatFunc":
+        """Wrap a pair already in canonical form, skipping the gcd."""
+        out = object.__new__(cls)
+        out.ctx, out.num, out.den = num.ctx, num, den
+        return out
+
+    @classmethod
+    def from_poly(cls, p: Poly) -> "RatFunc":
+        return cls(p, Poly.one(p.ctx))
+
+    @classmethod
+    def one(cls, ctx: FieldCtx) -> "RatFunc":
+        return cls(Poly.one(ctx), Poly.one(ctx))
+
+    @classmethod
+    def t(cls, ctx: FieldCtx) -> "RatFunc":
+        return cls(Poly.variable(ctx), Poly.one(ctx))
+
+    @classmethod
+    def const(cls, ctx: FieldCtx, e) -> "RatFunc":
+        if isinstance(e, int):
+            e = ctx.from_int(e)
+        return cls(Poly.from_elems(ctx, [e]), Poly.one(ctx))
+
+    # -- structure ----------------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return self.num.is_zero
+
+    def __bool__(self) -> bool:
+        return not self.num.is_zero
+
+    def _check(self, other):
+        if not isinstance(other, RatFunc) or other.ctx is not self.ctx:
+            raise ValueError("rational functions over different fields")
+
+    # -- field arithmetic ---------------------------------------------------
+
+    def __add__(self, other: "RatFunc") -> "RatFunc":
+        self._check(other)
+        return RatFunc(
+            self.num * other.den + other.num * self.den, self.den * other.den
+        )
+
+    def __neg__(self) -> "RatFunc":
+        return RatFunc._canonical(-self.num, self.den)
+
+    def __sub__(self, other: "RatFunc") -> "RatFunc":
+        return self + (-other)
+
+    def __mul__(self, other: "RatFunc") -> "RatFunc":
+        self._check(other)
+        return RatFunc(self.num * other.num, self.den * other.den)
+
+    def inverse(self) -> "RatFunc":
+        if self.is_zero:
+            raise ZeroDivisionError("inverting zero rational function")
+        return RatFunc(self.den, self.num)
+
+    def __truediv__(self, other: "RatFunc") -> "RatFunc":
+        self._check(other)
+        return self * other.inverse()
+
+    def __pow__(self, e: int) -> "RatFunc":
+        if e < 0:
+            return self.inverse() ** (-e)
+        return RatFunc(self.num**e, self.den**e)
+
+    def subst_scale(self, zeta: FqElem) -> "RatFunc":
+        """t -> zeta*t is a ring automorphism of F_{q^2}[t], so it keeps
+        gcd(num, den) = 1; only the denominator has to be made monic again."""
+        num, den = self.num.subst_scale(zeta), self.den.subst_scale(zeta)
+        lead_inv = self.ctx.elem(den.lead_code).inverse()
+        return RatFunc._canonical(num.scale(lead_inv), den.scale(lead_inv))
+
+    # -- comparison / rendering --------------------------------------------
+
+    def __eq__(self, other):
+        if not isinstance(other, RatFunc):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def to_json_dict(self):
+        return {
+            "num": self.num.to_coeff_vectors(),
+            "den": self.den.to_coeff_vectors(),
+        }
+
+    def pretty(self, var: str = "t") -> str:
+        if self.den == Poly.one(self.ctx):
+            return self.num.pretty(var)
+        return f"({self.num.pretty(var)})/({self.den.pretty(var)})"
+
+    def __repr__(self):
+        return f"RatFunc({self.pretty()!r})"

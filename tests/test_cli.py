@@ -275,6 +275,12 @@ POINT_PINS = [
         "264e226ed856805502c14c241bad2e53f58daf7f2b1285ce8dafc0ebc7f4160e",
         pytest.mark.extended,
     ),
+    # recorded from the construction whose quotients were all taken top down
+    (
+        ("--p", "1999", "--thm1"),
+        "d8d5ba51c444de655a444b6bfc04e4f2b84376e64c52a13d3053b9e1272bf751",
+        pytest.mark.extended,
+    ),
 ]
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermatlines import efield
+from fermatlines import efield, poly
 from fermatlines.cli import main
 from fermatlines.efield import (
     CurvePoint,
@@ -32,7 +32,7 @@ from fermatlines.efield import (
     point_from_components,
 )
 from fermatlines.fermat import Line, line_for_thm1, lines_for_c
-from fermatlines.gf import ContradictionError, find_ab_pairs, make_field
+from fermatlines.gf import ContradictionError, find_ab_pairs, make_field, prime_power
 
 CTX7 = make_field(7)
 CTX5 = make_field(5)
@@ -113,6 +113,11 @@ def scalar_add(x, y):
     return Poly(x.ctx, out)
 
 
+def scalar_neg(x):
+    """Negation coefficient by coefficient with the field's scalar neg."""
+    return Poly(x.ctx, [x.ctx.neg_code(c) for c in x.codes])
+
+
 def schoolbook_mul(x, y):
     """Product coefficient by coefficient with the field's scalar add and mul."""
     ctx, a, b = x.ctx, x.codes, y.codes
@@ -189,7 +194,7 @@ def test_mul_add_divmod_match_schoolbook(p, k, data):
     a, b = data.draw(operands(ctx)), data.draw(operands(ctx))
     assert a * b == schoolbook_mul(a, b)
     assert a + b == scalar_add(a, b)
-    assert a - b == scalar_add(a, Poly(ctx, [ctx.neg_code(c) for c in b.codes]))
+    assert a - b == scalar_add(a, scalar_neg(b))
     if not b.is_zero:
         quot, rem = a.divmod(b)
         assert (quot, rem) == schoolbook_divmod(a, b)
@@ -207,6 +212,48 @@ def test_gcd_matches_schoolbook(p, k, data):
     assert x.gcd(y) == schoolbook_gcd(x, y)
 
 
+def dividend_and_divisor(ctx, rng, dq, db, low_zeros):
+    """Random operands of degrees dq + db and db, whose low_zeros lowest
+    coefficients are 0 where there is room: reversed, those become trailing
+    zeros of rev(a) and rev(b).  Every other coefficient is nonzero."""
+    n = ctx.q * ctx.q
+
+    def operand(degree):
+        zeros = min(low_zeros, degree)
+        return Poly(ctx, [0] * zeros + [rng.randrange(1, n) for _ in range(degree + 1 - zeros)])
+
+    return operand(dq + db), operand(db)
+
+
+@KERNEL_FIELDS
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_newton_divmod_matches_schoolbook(p, k, data):
+    """Quotients with dq and db both at least 64 take the Newton route."""
+    ctx = make_field(p, k)
+    dq, db = data.draw(st.integers(64, 120)), data.draw(st.integers(64, 120))
+    low_zeros = data.draw(st.sampled_from([0, 1, 5, 64]))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    a, b = dividend_and_divisor(ctx, rng, dq, db, low_zeros)
+    assert a.divmod(b) == schoolbook_divmod(a, b)
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (5, 2)], ids=["7", "25"])
+@pytest.mark.parametrize("db", [0, 1, 9, 70])
+@pytest.mark.parametrize(
+    "dq", [poly._NEWTON_DQ - 1, poly._NEWTON_DQ, 100], ids=["below", "at", "100"]
+)
+@pytest.mark.parametrize("low_zeros", [0, 3])
+def test_divmod_at_the_newton_crossover(p, k, db, dq, low_zeros):
+    """The last quotient length taken top down, the first taken by Newton
+    and one long one, each with db = 0 among the divisor degrees."""
+    ctx = make_field(p, k)
+    rng = random.Random(1000 * dq + 10 * db + low_zeros)
+    a, b = dividend_and_divisor(ctx, rng, dq, db, low_zeros)
+    assert a.divmod(b) == schoolbook_divmod(a, b)
+    assert (a * b).divmod(b) == (a, Poly.zero(ctx))
+
+
 @pytest.mark.parametrize(
     "p,m,width",
     [(5, 60, "<u2"), (7, 60, "<u2"), (31, 36, "<u2"), (31, 37, "<u4"), (31, 60, "<u4")],
@@ -216,7 +263,7 @@ def test_all_max_operands_at_the_slot_bound(p, m, width):
     m = 37: the all-(p-1) operands fill the middle slot to that bound."""
     ctx = make_field(p)
     top = Poly(ctx, [ctx.q * ctx.q - 1] * m)
-    assert efield._slot_dtype(ctx, m) == np.dtype(width)
+    assert poly._slot_dtype(ctx, m) == np.dtype(width)
     assert top * top == schoolbook_mul(top, top)
     other = Poly(ctx, [1 + i % (ctx.q * ctx.q - 1) for i in range(m)])
     assert (top * top).divmod(other) == schoolbook_divmod(top * top, other)
@@ -230,8 +277,8 @@ def test_all_max_product_in_64_bit_slots():
     times e^2."""
     ctx = make_field(1999)
     e = ctx.elem(ctx.q * ctx.q - 1)
-    assert efield._slot_dtype(ctx, 537) == np.dtype("<u4")
-    assert efield._slot_dtype(ctx, 538) == np.dtype("<u8")
+    assert poly._slot_dtype(ctx, 537) == np.dtype("<u4")
+    assert poly._slot_dtype(ctx, 538) == np.dtype("<u8")
     top = Poly(ctx, [e.code] * 600)
     expected = [(ctx.from_int(min(i + 1, 1199 - i)) * e * e).code for i in range(1199)]
     assert (top * top).codes == tuple(expected)
@@ -239,7 +286,7 @@ def test_all_max_product_in_64_bit_slots():
 
 def test_slot_bound_past_64_bits_raises():
     with pytest.raises(OverflowError):
-        efield._slot_dtype(make_field(1999), 2**45)
+        poly._slot_dtype(make_field(1999), 2**45)
 
 
 @pytest.mark.extended
@@ -254,23 +301,30 @@ def test_mul_and_divmod_match_schoolbook_at_the_size_cap():
 def poly_of_poly_reduce(ctx, m0, g):
     """The coordinates of the scalar g(s) modulo m0: g as a vector of
     constant Polys in t, reduced from the top degree in s down."""
+    return reduce_vector(ctx, m0, [Poly(ctx, (c,)) for c in g.codes])
+
+
+def reduce_vector(ctx, m0, vec):
+    """The vector of Polys in t, low degree in s first, reduced modulo m0
+    from the top degree in s down."""
     c0, c1, c2 = m0
-    vec = [Poly(ctx, (c,)) for c in g.codes]
+    vec = list(vec)
     for i in range(len(vec) - 1, 2, -1):
         c = vec[i]
         if not c.is_zero:
-            vec[i - 1] = scalar_add(vec[i - 1], -schoolbook_mul(c, c2))
-            vec[i - 2] = scalar_add(vec[i - 2], -schoolbook_mul(c, c1))
-            vec[i - 3] = scalar_add(vec[i - 3], -schoolbook_mul(c, c0))
+            vec[i - 1] = scalar_add(vec[i - 1], scalar_neg(schoolbook_mul(c, c2)))
+            vec[i - 2] = scalar_add(vec[i - 2], scalar_neg(schoolbook_mul(c, c1)))
+            vec[i - 3] = scalar_add(vec[i - 3], scalar_neg(schoolbook_mul(c, c0)))
     vec = vec[:3]
     return tuple(vec) + (Poly.zero(ctx),) * (3 - len(vec))
 
 
 @pytest.mark.parametrize(
-    "p,every_line",
+    "q,every_line",
     [
         (5, True),
         (7, True),
+        (25, True),
         (19, False),
         (31, False),
         (43, False),
@@ -278,23 +332,53 @@ def poly_of_poly_reduce(ctx, m0, g):
         pytest.param(307, False, marks=pytest.mark.extended),
     ],
 )
-def test_coordinate_vectors_match_poly_of_poly_reduction(p, every_line):
+def test_coordinate_vectors_match_poly_of_poly_reduction(q, every_line):
     """Powering in L1 against the Poly-of-Poly reduction of the expanded
-    x and y, on every line of find_ab_pairs at q = 5 and 7 and on the thm-1
-    line at q = 19, 31, 43, 139 and 307.  At q = 7 and 31, d = 8 and 32 are
-    powers of two, so only the other sizes run the multiply step of a 1 bit."""
-    ctx = make_field(p)
+    x and y, on every line of find_ab_pairs at q = 5, 7 and 25 and on the
+    thm-1 line at q = 19, 31, 43, 139 and 307.  At q = 7 and 31, d = 8 and 32
+    are powers of two, so only the other sizes run the multiply step of a 1
+    bit.  At q = 25 each coefficient has 2k = 4 digits.
+
+    Every cubic of a line has c1 = 1 and c0 = e1*t.  The reduction is also
+    checked modulo the same cubic with c0, c1 or c2 set to 0 and with a
+    constant term added to c0, which the fold has to shift apart from e1*t,
+    on the first line at q = 5, 7 and 25."""
+    ctx = make_field(*prime_power(q))
     if every_line:
         lines = [Line(ctx, a, b) for a, b in find_ab_pairs(ctx)]
     else:
         lines = [line_for_thm1(ctx)]
-    for L in lines:
+    zero, one = Poly.zero(ctx), Poly.one(ctx)
+    for n, L in enumerate(lines):
         f0, f1, f2 = line_components(ctx, L)
-        m0 = efield._build_cubic(ctx, f0, f1, f2)
-        x = -schoolbook_pow(schoolbook_mul(f0, f2), ctx.d)
+        c0, c1, c2 = efield._build_cubic(ctx, f0, f1, f2)
+        x = scalar_neg(schoolbook_pow(schoolbook_mul(f0, f2), ctx.d))
         y = schoolbook_mul(x, schoolbook_pow(f0, ctx.d))
-        expected = (poly_of_poly_reduce(ctx, m0, x), poly_of_poly_reduce(ctx, m0, y))
-        assert efield._coordinate_vectors(ctx, m0, f0, f2) == expected, (L.a, L.b)
+        cubics = [(c0, c1, c2)]
+        if every_line and n == 0:
+            cubics += [(zero, c1, c2), (c0, zero, c2), (c0, c1, zero),
+                       (scalar_add(c0, one), c1, c2)]
+        for m0 in cubics:
+            expected = (poly_of_poly_reduce(ctx, m0, x), poly_of_poly_reduce(ctx, m0, y))
+            assert efield._coordinate_vectors(ctx, m0, f0, f2) == expected, (L.a, L.b, m0)
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (5, 2), (7, 3)], ids=["7", "25", "343"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_l1_mul_matches_poly_of_poly_reduction(p, k, data):
+    """One packed product in L1 against the 3 x 3 schoolbook products
+    reduced modulo m0, for vectors of Polys of unequal lengths, some of them
+    zero, and cubics with c1 and c2 constant and c0 linear, any of them 0."""
+    ctx = make_field(p, k)
+    vector = st.tuples(*[operands(ctx, 12)] * 3)
+    u, v = data.draw(vector), data.draw(vector)
+    m0 = (data.draw(operands(ctx, 2)), data.draw(operands(ctx, 1)), data.draw(operands(ctx, 1)))
+    product = [Poly.zero(ctx)] * 5
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            product[i + j] = scalar_add(product[i + j], schoolbook_mul(a, b))
+    assert efield._l1_mul(u, v, m0) == reduce_vector(ctx, m0, product)
 
 
 def test_kernel_results_are_python_ints(capsys):
