@@ -52,12 +52,8 @@ def main(argv=None) -> int:
     for pk in fields:
         ctx = make_field(*pk)
         cert = certify(ctx)
-        uncovered = [
-            e.tuple.i0
-            for e in cert.coverage.values()
-            if not e.nonzero and e.tuple.all_nonzero
-        ]
-        shown = ",".join(str(i) for i in uncovered) if uncovered else "-"
+        uncovered = cert.uncovered
+        shown = ",".join(map(str, uncovered)) if uncovered else "-"
         print(
             f"{ctx.q:>5} {expected_rank(ctx.q):>5} {cert.verdict:<22} "
             f"{cert.lines_used:>5}  {shown}"

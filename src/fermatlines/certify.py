@@ -32,7 +32,16 @@ witnessed orbit reduces all its tuples as one batch with that histogram,
 and each sum passes the mod-3 and S != 2q checks before it enters the
 coverage, so the first failing orbit raises, as in a per-tuple scan.  On
 the single line one % 3 over a batch's canon rows gives the mod-3 residues
-of all its sums, in both passes.  The line-count checks follow.
+of all its sums, in both passes.  The line-count checks follow.  These
+scans keep their own plane and batches; they do not read the histogram
+that ``sum_S`` caches.
+
+A ``Certificate`` keeps, per witnessed orbit, its witness c and the canon
+rows of its batch, and ``to_json_dict`` writes the coverage from them with
+no ExponentTuple, CycElt or CoverageEntry per tuple.  ``tuples`` and
+``coverage`` are a decoded view, built once on first access, for callers
+that want the objects (the csv and pretty output, the tests); ``uncovered``
+reads the uncovered indices without it.
 
 ``certify_general`` scans every tuple against every admissible c with no
 Galois transfer, computing every sum by the F_{q^2} sweep
@@ -42,7 +51,8 @@ and shares no sum route with ``certify``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -98,59 +108,116 @@ class CoverageEntry:
     s_value: CycElt | None
     nonzero: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "tuple": list(self.tuple.entries),
-            "c": None if self.c is None else self.c.dlog,
-            "S_canon": None if self.s_value is None else list(self.s_value.canon),
-            "nonzero": self.nonzero,
-        }
 
-
-@dataclass
 class Certificate:
-    q: int
-    expected_rank: int
-    tuples: list[ExponentTuple]
-    coverage: dict[ExponentTuple, CoverageEntry]
-    verdict: str
-    lines_used: int
-    galois_orbits: list[list[int]] = field(default_factory=list)
+    """A certificate at d = q + 1, kept as its witnessed groups.
+
+    Each group of ``witnessed`` is (indices, c, rows): the indices i of the
+    tuples (i, i, i, -3i) that witness c covers, and the canon rows of S_c
+    on them, in the same order.  Every other nontrivial tuple is uncovered.
+    ``to_json_dict`` writes the coverage straight from the groups;
+    ``tuples`` (``w_tuples(d)``) and ``coverage`` (tuple -> CoverageEntry,
+    in tuple order) are the decoded view, built once on first access.
+    """
+
+    def __init__(self, q: int, verdict: str, lines_used: int, orbits, witnessed):
+        self.q = q
+        self.expected_rank = expected_rank(q)
+        self.verdict = verdict
+        self.lines_used = lines_used
+        self.galois_orbits = orbits
+        self.witnessed = witnessed
+
+    @property
+    def uncovered(self) -> list[int]:
+        """The indices i of the nontrivial tuples with no witness, ascending."""
+        covered = {i for indices, _, _ in self.witnessed for i in indices}
+        return sorted(i for orbit in self.galois_orbits for i in orbit if i not in covered)
+
+    def _found(self) -> dict:
+        """i -> (c, canon row of S_c) for each nontrivial tuple with a witness."""
+        return {i: (c, row) for indices, c, rows in self.witnessed for i, row in zip(indices, rows)}
 
     def to_json_dict(self) -> dict:
+        d = self.q + 1
+        found = self._found()
+        dlog = {c.code: c.dlog for _, c, _ in self.witnessed}
+        coverage = [{"tuple": [0, 0, 0, 0], "c": None, "S_canon": None, "nonzero": True}]
+        for i in range(1, d):
+            if 3 * i % d:
+                c, row = found.get(i, (None, None))
+                coverage.append(
+                    {
+                        "tuple": [i, i, i, -3 * i % d],
+                        "c": None if c is None else dlog[c.code],
+                        "S_canon": row,
+                        "nonzero": row is not None,
+                    }
+                )
         return {
             "q": self.q,
             "expected_rank": self.expected_rank,
             "verdict": self.verdict,
             "lines_used": self.lines_used,
-            "coverage": [self.coverage[t].to_json_dict() for t in self.tuples],
+            "coverage": coverage,
             "orbits": self.galois_orbits,
         }
+
+    @cached_property
+    def tuples(self) -> tuple[ExponentTuple, ...]:
+        return w_tuples(self.q + 1)
+
+    @cached_property
+    def coverage(self) -> dict[ExponentTuple, CoverageEntry]:
+        d, found = self.q + 1, self._found()
+        coverage = {self.tuples[0]: _trivial_entry(self.tuples[0])}
+        for t in self.tuples[1:]:
+            c, row = found.get(t.i0, (None, None))
+            s = None if row is None else CycElt._from_canon(d, row)
+            coverage[t] = CoverageEntry(t, c, s, s is not None)
+        return coverage
+
+
+def _certificate(ctx: FieldCtx, witnessed: list, orbits: list[list[int]]) -> Certificate:
+    # orbits is galois_orbits(ctx.d), which partitions the nontrivial tuples
+    covered = sum(len(indices) for indices, _, _ in witnessed)
+    full = covered == sum(map(len, orbits))
+    return Certificate(
+        ctx.q,
+        FULL_RANK_CERTIFIED if full else NOT_CERTIFIED,
+        len({c.code for _, c, _ in witnessed}),
+        orbits,
+        witnessed,
+    )
 
 
 def _assemble(
     ctx: FieldCtx, coverage: dict, tuples: list[ExponentTuple], orbits: list[list[int]]
 ) -> Certificate:
-    # callers iterate coverage in tuple order, whatever order it was filled in;
+    # certify_general's per-tuple coverage, one witnessed group per tuple;
     # tuples is w_tuples(ctx.d) and orbits is galois_orbits(ctx.d)
-    coverage = {t: coverage[t] for t in tuples}
-    all_nonzero = all(coverage[t].nonzero for t in tuples)
-    used = {e.c.code for e in coverage.values() if e.c is not None and e.nonzero}
-    return Certificate(
-        q=ctx.q,
-        expected_rank=expected_rank(ctx.q),
-        tuples=tuples,
-        coverage=coverage,
-        verdict=FULL_RANK_CERTIFIED if all_nonzero else NOT_CERTIFIED,
-        lines_used=len(used),
-        galois_orbits=orbits,
-    )
+    witnessed = [
+        ([t.i0], e.c, [list(e.s_value.canon)])
+        for t in tuples[1:]
+        if (e := coverage[t]).nonzero
+    ]
+    return _certificate(ctx, witnessed, orbits)
 
 
 def _trivial_entry(trivial: ExponentTuple) -> CoverageEntry:
     # the trivial character pairs to the constant 1/d on every translated
     # line class, which is nonzero; no S computation is involved
     return CoverageEntry(trivial, None, None, True)
+
+
+def _entries(d: int, i: int) -> tuple[int, int, int, int]:
+    """The entries of the w-type tuple (i, i, i, -3i)."""
+    return (i, i, i, -3 * i % d)
+
+
+def _is_two_q(q: int, canon: np.ndarray) -> np.ndarray:
+    """Per canon row, whether it is the integer 2q."""
+    return (canon[:, 0] == 2 * q) & (canon[:, 1:] == 0).all(axis=1)
 
 
 def _one_mod_3(canon: np.ndarray) -> list[bool]:
@@ -160,13 +227,14 @@ def _one_mod_3(canon: np.ndarray) -> list[bool]:
     return ((residue[:, 0] == 1) & (residue[:, 1:] == 0).all(axis=1)).tolist()
 
 
-def _check_mod_3(q: int, c: FqElem, tuples: list[ExponentTuple], canon: np.ndarray) -> None:
-    """Raise at the first canon row (S at c of its tuple) not 1 mod 3."""
-    for t, row, one_mod_3 in zip(tuples, canon, _one_mod_3(canon)):
+def _check_mod_3(q: int, c: FqElem, indices: list[int], canon: np.ndarray) -> None:
+    """Raise at the first canon row (S at c of (i, i, i, -3i), i in indices)
+    not 1 mod 3."""
+    for i, row, one_mod_3 in zip(indices, canon, _one_mod_3(canon)):
         if not one_mod_3:
             raise ContradictionError(
-                f"mod-3 obstruction failed at q={q} for tuple {t.entries}, c={c.dlog}:"
-                f" expected S = 1 mod 3, got S = {row.tolist()}"
+                f"mod-3 obstruction failed at q={q} for tuple {_entries(q + 1, i)},"
+                f" c={c.dlog}: expected S = 1 mod 3, got S = {row.tolist()}"
             )
 
 
@@ -181,11 +249,8 @@ def certify(ctx: FieldCtx) -> Certificate:
     q, d = ctx.q, ctx.d
     single_line = q % 12 == 7
     candidates = [line_for_thm1(ctx).c] if single_line else admissible_values(ctx)
-    two_q = CycElt.from_int(d, 2 * q)
     plane = _PlaneSweep(ctx, 1, 1, 1)
     orbits = galois_orbits(d)
-    tuples = w_tuples(d)
-    w_type = {t.i0: t for t in tuples}  # i -> (i, i, i, -3i)
 
     # pass 1, the witness scan: each candidate c sweeps one histogram of
     # (1, 1, 1) and reduces the representatives of the open orbits as one
@@ -200,41 +265,39 @@ def certify(ctx: FieldCtx) -> Certificate:
         reps = [orbits[k][0] for k in pending]
         canon = _canon_rows(d, _pushforward(hist, reps))
         if single_line:
-            _check_mod_3(q, c, [w_type[i] for i in reps], canon)
-        is_two_q = (canon == two_q.canon).all(axis=1).tolist()
+            _check_mod_3(q, c, reps, canon)
+        is_two_q = _is_two_q(q, canon).tolist()
         witness.update((k, (c, hist)) for k, hit in zip(pending, is_two_q) if not hit)
         pending = [k for k, hit in zip(pending, is_two_q) if hit]
 
     # pass 2, in orbit order: a witnessed orbit reduces all its tuples,
-    # representative first, as one batch with its witness's histogram
-    coverage = {tuples[0]: _trivial_entry(tuples[0])}
+    # representative first, as one batch with its witness's histogram, and
+    # keeps the canon rows
+    witnessed = []
     for k, orbit in enumerate(orbits):
-        rep = w_type[orbit[0]]
+        rep = _entries(d, orbit[0])
         if k not in witness:
             if q % 12 != 11:
                 raise ContradictionError(
-                    f"no witness at q={q} for tuple {rep.entries}: expected S != 2q for"
+                    f"no witness at q={q} for tuple {rep}: expected S != 2q for"
                     f" some c in {[c.dlog for c in candidates]}, got S = 2q = {2 * q}"
                     " for each"
                 )
-            for t in map(w_type.get, orbit):
-                coverage[t] = CoverageEntry(t, None, None, False)
             continue
         c, hist = witness[k]
         canon = _canon_rows(d, _pushforward(hist, orbit))
         if single_line:
-            _check_mod_3(q, c, [w_type[i] for i in orbit], canon)
-        canon = canon.tolist()  # frees the matrix before the elements are built
-        for i, row in zip(orbit, canon):
-            t, s = w_type[i], CycElt._from_canon(d, row)
-            # S_c(u*t) = sigma_u(S_c(t)), and sigma_u fixes 2q
-            if s == two_q:
-                raise ContradictionError(
-                    f"Galois transfer failed at q={q} for tuple {t.entries}, c={c.dlog}:"
-                    f" expected S != 2q as for {rep.entries}, got S = 2q = {2 * q}"
-                )
-            coverage[t] = CoverageEntry(t, c, s, True)
-    cert = _assemble(ctx, coverage, tuples, orbits)
+            _check_mod_3(q, c, orbit, canon)
+        # S_c(u*t) = sigma_u(S_c(t)), and sigma_u fixes 2q
+        hit = _is_two_q(q, canon)
+        if hit.any():
+            raise ContradictionError(
+                f"Galois transfer failed at q={q} for tuple"
+                f" {_entries(d, orbit[int(hit.argmax())])}, c={c.dlog}:"
+                f" expected S != 2q as for {rep}, got S = 2q = {2 * q}"
+            )
+        witnessed.append((orbit, c, canon.tolist()))
+    cert = _certificate(ctx, witnessed, orbits)
     if single_line and cert.lines_used != 1:
         raise ContradictionError(
             f"single-line certificate at q={q}: expected 1 line, got {cert.lines_used}"

@@ -27,6 +27,10 @@ character exponents, as an element of Z[zeta_d]:
   addition; the int16 tables hold the tail twice, so each c reads one
   contiguous slice.  ``sum_S``, ``survey_N``, ``quadratic_identity_check``,
   ``sum_over_c``, ``mod3_test`` and ``certify`` all use this route.
+  For i != 0 mod d the counts of (i, i, i) are those of (1, 1, 1) pushed
+  forward by k -> ik (``_pushforward``): ``sum_S`` reads a w-type tuple
+  so from the (1, 1, 1) histogram at c, cached for the last (field, c)
+  only, and ``certify`` from its own per-candidate histograms.
   ``survey_N`` and ``quadratic_identity_check`` reduce the counts of
   _BLOCK_ROWS values of c at a time in Z[zeta_d] (``cyc._canon_rows``) and
   read the integer value off the canon rows, with no CycElt per c.
@@ -49,6 +53,7 @@ extremal count N = #{c : S_c = 2q} obeys 4N <= 3q-9.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -278,12 +283,24 @@ def _pushforward(counts: np.ndarray, idx) -> np.ndarray:
     return out.reshape(idx.shape + (d,))
 
 
+@lru_cache(maxsize=1)
+def _w_histogram(ctx: FieldCtx, code: int) -> np.ndarray:
+    # the read-only (1, 1, 1) counts vector at c; the w-type sums of one c,
+    # such as the pairings of one line, share it, and only the last c is kept
+    counts = _PlaneSweep(ctx, 1, 1, 1).counts(FqElem(ctx, code))
+    counts.flags.writeable = False
+    return counts
+
+
 def sum_S(ctx: FieldCtx, c: FqElem, t: ExponentTuple) -> SumRecord:
     """S_{c, t} = sum over x in F_{q^2} of chi(x^i0 (x+1)^i1 (x+c)^i2),
     read off the F_q-plane.
 
     c must lie in the subfield F_q; t must belong to the same d = q+1.
     Degenerate c (0 and 1) are allowed — those are the Jacobi-sum cases.
+    A w-type t = (i, i, i, -3i) with i != 0 mod d is the (1, 1, 1) histogram
+    at c pushed forward by k -> ik; every other t, the trivial one
+    included, sweeps its own plane.
     """
     if not isinstance(c, FqElem) or c.ctx is not ctx:
         raise ValueError("c must be an element of this field context")
@@ -291,8 +308,11 @@ def sum_S(ctx: FieldCtx, c: FqElem, t: ExponentTuple) -> SumRecord:
         raise ValueError("c must lie in the subfield F_q")
     if t.d != ctx.d:
         raise ValueError(f"tuple has d = {t.d}, field context has d = {ctx.d}")
-    counts = _PlaneSweep(ctx, t.i0, t.i1, t.i2).counts(c)
-    value = CycElt(ctx.d, counts.tolist())
+    if t.is_w_type and t.i0:
+        counts = _pushforward(_w_histogram(ctx, c.code), t.i0)
+    else:
+        counts = _PlaneSweep(ctx, t.i0, t.i1, t.i2).counts(c)
+    value = CycElt.batch(ctx.d, counts[None])[0]
     return SumRecord(c=c, tuple=t, value=value, as_integer=value.as_integer)
 
 

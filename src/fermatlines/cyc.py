@@ -10,9 +10,12 @@ Z[x]/(Phi_d), so equality of CycElts is equality of canon.
 Phi_d(x) = Phi_m(x^{d/m}) for m = rad(d), so canon is reduced by the small
 m x phi(m) matrix R_m, whose row b is x^b mod Phi_m, built once per m:
 ``_canon_rows`` views a whole (n, d) matrix of counts rows as (n, m, d/m)
-and folds the rows b >= phi(m) back through R_m.  A batch takes the int64
-product when its entries are small enough that no sum can overflow, and the
-exact Python-int product otherwise.  It is the one reduction route:
+and folds the rows b >= phi(m) back through R_m.  For even m > 2, y = x^{d/m}
+satisfies y^{m/2} = -1, so the rows past m/2 fold back first as a signed
+shift and R_{m/2} does the rest: at d = 1994 one row goes through the
+matrix product instead of 998.  A batch takes the int64 product when its
+entries are small enough that no sum can overflow, and the exact Python-int
+product otherwise.  It is the one reduction route:
 ``CycElt`` reduces its counts as a one-row matrix, and ``CycElt.batch``
 builds the elements of many rows from one call.
 
@@ -98,23 +101,47 @@ def _reduction_matrix(m: int) -> tuple[np.ndarray, int]:
     return rows, height
 
 
+@lru_cache(maxsize=None)
+def _canon_plan(d: int) -> tuple[int, int, np.ndarray, int]:
+    """(m, half, top, lim) of ``_canon_rows`` at d, looked up once per d.
+
+    m = rad(d); half = m/2 when the fold applies (m even, m > 2), else 0;
+    top is the phi(r) x (r - phi(r)) block of R_r, r = half or m, that folds
+    the rows past phi(r) back; lim is the largest entry an int64 batch may
+    hold.  On the fold, R_half reduces in z = -y, so the odd rows' signs are
+    flipped on the way in and back on the way out: entry (c, b) of top is
+    signed by (-1)^(b + c), once here.
+    """
+    m = prod(_prime_factors(d))
+    half = m // 2 if m > 2 and m % 2 == 0 else 0
+    rows, height = _reduction_matrix(half or m)
+    phi = rows.shape[1]
+    top = rows[phi:].T
+    if half:
+        top = top * (-1) ** np.add.outer(np.arange(phi), np.arange(phi, half))
+        top.flags.writeable = False
+    # a folded entry is a difference of two counts, so it may be twice as large
+    return m, half, top, (2**63 - 1) // ((2 if half else 1) * d * height)
+
+
 def _canon_rows(d: int, counts: np.ndarray) -> np.ndarray:
     """canon of every row of an (n, d) int64 or object counts matrix, as an
     (n, phi(d)) int64 matrix, or an object one of Python ints when counts is
-    object or has an entry past (2^63 - 1) // (d max|R_m|).
+    object or has an entry past the int64 bound of ``_canon_plan``.
 
-    With m = rad(d) and k = d/m, count j = b k + r is x^r (x^k)^b, so entry
-    (c, r) of the (n, phi(m), k) product is canon index c k + r.
+    With m = rad(d) and k = d/m, count j = b k + r is x^r y^b, y = x^k, so
+    entry (c, r) of the (n, phi(m), k) product is canon index c k + r.  For
+    even m > 2, n = m/2 is odd and Phi_m(y) = Phi_n(-y) divides y^n + 1: the
+    rows b >= n fold back as w_b = v_b - v_(b+n) before the product.
     """
-    m = prod(_prime_factors(d))
-    rows, height = _reduction_matrix(m)
-    phi = rows.shape[1]
-    top = rows[phi:].T
-    lim = (2**63 - 1) // (d * height)
+    m, half, top, lim = _canon_plan(d)
+    phi = top.shape[0]
     if counts.dtype != np.int64 or not ((counts >= -lim) & (counts <= lim)).all():
         counts, top = counts.astype(object), top.astype(object)
     n, k = len(counts), d // m
     v = counts.reshape(n, m, k)
+    if half:
+        v = v[:, :half] - v[:, half:]
     return (v[:, :phi] + top @ v[:, phi:]).reshape(n, phi * k)
 
 

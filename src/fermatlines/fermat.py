@@ -364,19 +364,17 @@ def geometric_intersection_oracle(ctx: FieldCtx, L: Line, t: TorusElt) -> int:
     return count
 
 
-def w_tuples(d: int) -> list[ExponentTuple]:
+@lru_cache(maxsize=None)
+def w_tuples(d: int) -> tuple[ExponentTuple, ...]:
     """The trivial tuple plus the diagonal family (i,i,i,-3i), 3i != 0 mod d.
 
     These index the characters whose projections span the relevant
-    subspace; the count is d when 3 does not divide d, else d - 2.
+    subspace; the count is d when 3 does not divide d, else d - 2.  The
+    tuples are built once per d.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
-    out = [ExponentTuple.trivial(d)]
-    for i in range(1, d):
-        if (3 * i) % d != 0:
-            out.append(ExponentTuple.w_type(d, i))
-    return out
+    return tuple(ExponentTuple.w_type(d, i) for i in range(d) if i == 0 or (3 * i) % d)
 
 
 # ----------------------------------------------------------------------------

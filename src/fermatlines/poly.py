@@ -263,30 +263,36 @@ class Poly:
                 result = result * self
         return result
 
-    def divmod(self, other: "Poly"):
-        """Quotient and remainder.  A quotient with dq < _NEWTON_DQ is taken
-        top down: coefficient i is (a[i + db] - sum_j quot[i + db - j] * b[j])
-        / lead(b), a sum over the min(db, dq - i) coefficients of b below the
-        lead that reach it.  A longer one is rev(a) * rev(b)^{-1} mod t^{dq+1},
-        reversed, with rev the coefficients in reverse order.  The remainder
-        is the low db coefficients of a - quot*b, one kernel product of the
-        low parts."""
+    def __floordiv__(self, other: "Poly") -> "Poly":
+        """The quotient.  One with dq < _NEWTON_DQ is taken top down:
+        coefficient i is (a[i + db] - sum_j quot[i + db - j] * b[j]) / lead(b),
+        a sum over the min(db, dq - i) coefficients of b below the lead that
+        reach it.  A longer one is rev(a) * rev(b)^{-1} mod t^{dq+1},
+        reversed, with rev the coefficients in reverse order."""
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         ctx, a, b = self.ctx, self.rows, other.rows
         db, dq = len(b) - 1, len(a) - len(b)
         if dq < 0:
-            return Poly.zero(ctx), self
+            return Poly.zero(ctx)
         if dq < _NEWTON_DQ:
-            quot = -ctx.digit_rows(self._negated_quotient(other, dq)) % ctx.p
-        else:
-            inv = _reciprocal(ctx, b[::-1], dq + 1)
-            quot = _kron(ctx, a[db:][::-1], inv)[dq::-1]
+            return Poly._of(ctx, -ctx.digit_rows(self._negated_quotient(other, dq)) % ctx.p)
+        inv = _reciprocal(ctx, b[::-1], dq + 1)
+        return Poly._of(ctx, _kron(ctx, a[db:][::-1], inv)[dq::-1])
+
+    def divmod(self, other: "Poly"):
+        """Quotient (``//``) and remainder.  The remainder is the low db
+        coefficients of a - quot*b, one kernel product of the low parts."""
+        quot = self // other
+        ctx, a, b = self.ctx, self.rows, other.rows
+        db = len(b) - 1
+        if quot.is_zero:  # deg a < deg b
+            return quot, self
         if db == 0:
-            return Poly._of(ctx, quot), Poly.zero(ctx)
-        rem = a[:db] - _kron(ctx, quot[:db], b[:db])[:db]
-        return Poly._of(ctx, quot), Poly._of(ctx, _strip(rem % ctx.p))
+            return quot, Poly.zero(ctx)
+        rem = a[:db] - _kron(ctx, quot.rows[:db], b[:db])[:db]
+        return quot, Poly._of(ctx, _strip(rem % ctx.p))
 
     def _negated_quotient(self, other: "Poly", dq: int) -> list:
         """The codes of -(self // other), top down with the scalar field ops."""
@@ -396,7 +402,7 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator")
         g = num.gcd(den)  # den.monic() when num = 0, leaving 0/1
         if g.degree > 0:
-            num, den = num.divmod(g)[0], den.divmod(g)[0]
+            num, den = num // g, den // g
         lead_inv = num.ctx.elem(den.lead_code).inverse()
         self.ctx, self.num, self.den = num.ctx, num.scale(lead_inv), den.scale(lead_inv)
 

@@ -39,6 +39,7 @@ from fermatlines.charsum import ExponentTuple
 from fermatlines.cyc import cyclotomic_poly
 
 certify_mod = importlib.import_module("fermatlines.certify")
+cli_mod = importlib.import_module("fermatlines.cli")
 charsum_mod = importlib.import_module("fermatlines.charsum")
 
 _fields = {}
@@ -520,6 +521,61 @@ def test_certificate_json_not_certified_entries():
     assert [e["tuple"][0] for e in missing] == [2, 6, 10]
     for e in missing:
         assert e["c"] is None and e["S_canon"] is None
+
+
+# ----------------------------------------------------------------------------
+# the certificate's rows and its decoded view
+# ----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 19, 23, 25, 29, 31])
+def test_decoded_coverage_matches_an_entry_by_entry_rebuild(q):
+    # each JSON entry rebuilt on its own: the tuple from its entries, c from
+    # its dlog, S recomputed by the F_{q^2} reference sweep at that c
+    F = field(*prime_power(q))
+    d = F.d
+    cert = certify(F)
+    rebuilt = {}
+    for item in cert.to_json_dict()["coverage"]:
+        t = ExponentTuple(d, *item["tuple"])
+        if item["c"] is None:
+            rebuilt[t] = certify_mod.CoverageEntry(t, None, None, item["nonzero"])
+            continue
+        c = F.elem(int(F.exp[item["c"]]))
+        counts = charsum_mod._sweep_counts(F, [(t.i0, 0), (t.i1, 1), (t.i2, c.code)])
+        s = CycElt(d, counts.tolist())
+        assert list(s.canon) == item["S_canon"]
+        rebuilt[t] = certify_mod.CoverageEntry(t, c, s, item["nonzero"])
+    assert cert.tuples == w_tuples(d)
+    assert list(cert.coverage) == list(rebuilt) == list(cert.tuples)
+    assert cert.coverage == rebuilt
+    assert cert.coverage is cert.coverage  # built once
+    assert cert.uncovered == [t.i0 for t in cert.tuples if not cert.coverage[t].nonzero]
+
+
+@pytest.mark.parametrize("q", [11, 13, 19, 71])
+def test_certify_json_builds_no_object_per_tuple(monkeypatch, capsys, q):
+    # the JSON is written from the canon rows: no ExponentTuple, CycElt or
+    # CoverageEntry is constructed, however many tuples there are
+    built, tuples = [], len(w_tuples(q + 1))
+
+    def counting(cls, method):
+        original = getattr(cls, method)
+        if isinstance(cls.__dict__[method], classmethod):
+            wrapped = classmethod(lambda c, *a: built.append(cls) or original(*a))
+        else:
+            wrapped = lambda self, *a, **k: built.append(cls) or original(self, *a, **k)
+        monkeypatch.setattr(cls, method, wrapped)
+
+    counting(ExponentTuple, "__post_init__")
+    counting(CycElt, "__init__")
+    counting(CycElt, "_from_canon")
+    counting(certify_mod.CoverageEntry, "__init__")
+    field(q)
+    rc = cli_mod.main(["certify", "--p", str(q), "--extended", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and len(doc["coverage"]) == tuples
+    assert built == []
 
 
 # ----------------------------------------------------------------------------

@@ -187,6 +187,61 @@ def test_pushforward_index_array_matches_scalar_loop(p):
     assert _pushforward(hist, []).shape == (0, d)
 
 
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2)])
+def test_sum_S_w_type_route_matches_sweep(p, k):
+    # every w-type tuple (i, i, i, -3i), gcd(i, d) > 1 and 3i = 0 mod d
+    # included, at c = 0, c = 1 and every admissible c, against the F_{q^2}
+    # reference; the tuples of one c read one cached (1, 1, 1) histogram
+    ctx = make_field(p, k)
+    d = ctx.d
+    assert any(np.gcd(i, d) > 1 for i in range(1, d))
+    for c in [ctx.zero, ctx.one] + admissible_values(ctx):
+        for i in range(1, d):
+            t = ExponentTuple.w_type(d, i)
+            assert sum_S(ctx, c, t).value == _reference_value(ctx, c, t), (c.code, i)
+        assert charsum._w_histogram.cache_info().currsize == 1
+        assert charsum._w_histogram(ctx, c.code).tolist() == (
+            _reference_counts(ctx, c, 1, 1, 1).tolist()
+        )
+
+
+def test_sum_S_w_type_route_is_only_for_nontrivial_w_tuples(monkeypatch):
+    # the trivial tuple and every tuple that is not w-type sweep their own
+    # plane; a w-type tuple with i != 0 reads the histogram and builds none
+    ctx = make_field(7)
+    c = admissible_values(ctx)[0]
+    expected = {
+        entries: _reference_value(ctx, c, ExponentTuple(8, *entries))
+        for entries in [(0, 0, 0, 0), (1, 2, 3, 2), (2, 2, 0, 4), (3, 3, 3, 7)]
+    }
+    histogram = charsum._w_histogram(ctx, c.code)
+
+    def forbidden(*args):
+        raise AssertionError("the cached histogram was read")
+
+    monkeypatch.setattr(charsum, "_w_histogram", forbidden)
+    for entries in [(0, 0, 0, 0), (1, 2, 3, 2), (2, 2, 0, 4)]:
+        assert sum_S(ctx, c, ExponentTuple(8, *entries)).value == expected[entries]
+
+    monkeypatch.setattr(charsum, "_w_histogram", lambda ctx, code: histogram)
+    monkeypatch.setattr(charsum, "_PlaneSweep", forbidden)
+    t = ExponentTuple(8, 3, 3, 3, 7)
+    assert sum_S(ctx, c, t).value == expected[t.entries]
+
+
+def test_sum_S_w_type_cache_is_per_field():
+    # the code 2 is an element of F_5 and of F_7; the histogram of one field
+    # must never answer for the other
+    ctx5, ctx7 = make_field(5), make_field(7)
+    for ctx in (ctx5, ctx7, ctx5, ctx7):
+        c = ctx.elem(2)
+        assert c.in_fq
+        t = ExponentTuple.w_type(ctx.d, 1)
+        assert sum_S(ctx, c, t).value == _reference_value(ctx, c, t)
+        assert charsum._w_histogram(ctx, 2).tolist() == _reference_counts(ctx, c, 1, 1, 1).tolist()
+        assert not charsum._w_histogram(ctx, 2).flags.writeable
+
+
 def _plane_shift_cases(ctx):
     # c = 0 reads column 0 of the tail; c = g^(d s) reads the doubled tail
     # from column s, wrapping around for every s > 0

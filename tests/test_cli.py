@@ -312,6 +312,56 @@ def test_survey_json_matches_pin(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the certificate in each format, recorded from the certify that
+# built an ExponentTuple, a CycElt and a CoverageEntry per tuple; the JSON
+# written from the canon rows and the decoded view must reproduce these bytes
+CERTIFY_PINS = [
+    (("--p", "11", "--format", "json"), "66c407702754e7e72ce90cd5189bd5de1646511f962eae60a722936ca3163519"),
+    (("--p", "13", "--format", "json"), "4243effbda9659d6298dfbe33d337b27e30ea2779ef6d7731d7c7ac4f6a12ed8"),
+    (("--p", "19", "--format", "json"), "ef9b354989f6650ef26d5b5636f535aef966153b34f3e6049d567b38dc84f34f"),
+    (("--p", "71", "--format", "json"), "64beda17275d0e25310ad46e1373d15d758c6d2550bc969815f096401526f9dd"),
+    (
+        ("--p", "11", "--k", "2", "--format", "json"),
+        "6266a57c05fb962dc60cc831abf58be76f036ae00bb0e8628b4429d1eafeceb0",
+    ),
+    (("--p", "11", "--format", "csv"), "8c4174895fa77bac2079c0493d26f7a152f62fd4a9508169be5e645c06ffcc2f"),
+    (("--p", "13", "--format", "csv"), "68996f5402995e59397411be6fb26cfa067b8c48529925c0483bd6d88c5797e1"),
+    (("--p", "11",), "d0cdce8b60ffe01401d58b47e9ea6c04d3c11a54451f09fdc522275eadf736fc"),
+    (("--p", "13",), "34b4f6d5c0ba2559925dfbe75128c3320033f9f738730f612ee13c26c2f379ee"),
+    # recorded before the x^(m/2) = -1 fold in the reduction of Z[zeta_d]
+    (
+        ("--p", "1429", "--format", "json"),
+        "e35a36b9a5f9dfa2a724b6529c7914faffc0fb4c68726dc81c9b459cbd9a94d1",
+        pytest.mark.extended,
+    ),
+    (
+        ("--p", "1993", "--format", "json"),
+        "a6e95b39234c4a6cffc429b98c0d9ded8e89709982d2dbb26650fe556ee6165e",
+        pytest.mark.extended,
+    ),
+    (
+        ("--p", "1997", "--format", "json"),
+        "5e50f3315e729e5b45494e1ddf84fd62f164eaa7361b0edbe66fe9e1f69d6c87",
+        pytest.mark.extended,
+    ),
+    (
+        ("--p", "1999", "--format", "json"),
+        "f0835a29be2a9804e10bb259d0bcaf8a8231ee53aba8d680d4d6c05763dabbc1",
+        pytest.mark.extended,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [pytest.param(a, d, marks=m, id=" ".join(a)) for a, d, *m in CERTIFY_PINS],
+)
+def test_certify_output_matches_pin(capsys, args, digest):
+    rc, out = run(capsys, "certify", *args, "--extended")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_point_usage_errors(capsys):
     rc, _ = run(capsys, "point", "--p", "7", "--thm1", "--a", "3")
     assert rc == 2

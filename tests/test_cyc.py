@@ -151,9 +151,9 @@ def test_from_int_matches_the_reduced_counts_without_reducing(monkeypatch, d, m)
 
 def _counts_rows(d, *bounds):
     """Length-d integer lists, each entry within +-b for one of the bounds.
-    At d = 2000 such a list is past Hypothesis's input budget, so a seeded
-    Random draws its entries instead."""
-    if d < 2000:
+    At d = 1430, 1994 and 2000 such a list is past Hypothesis's input
+    budget, so a seeded Random draws its entries instead."""
+    if d < 1000:
         entry = st.one_of(*(st.integers(-b, b) for b in bounds))
         return st.lists(entry, min_size=d, max_size=d)
     return st.randoms(use_true_random=True).map(
@@ -161,13 +161,13 @@ def _counts_rows(d, *bounds):
     )
 
 
-@pytest.mark.parametrize("d", [6, 12, 200, 210, 252, 2000])
+@pytest.mark.parametrize("d", [6, 12, 200, 210, 252, 1430, 1994, 2000])
 def test_canon_matches_polynomial_division(d):
     # entries past 2^63 force the Python-int product instead of int64; one
     # oracle row at d = 2000 takes about 0.1 s, so it gets few examples
     row = _counts_rows(d, 9, 2**70)
 
-    @settings(max_examples=4 if d == 2000 else 40, deadline=None)
+    @settings(max_examples=4 if d > 1000 else 40, deadline=None)
     @given(counts=row)
     def check(counts):
         _, rem = _poly_divmod_exact(counts, cyclotomic_poly(d))
@@ -178,11 +178,22 @@ def test_canon_matches_polynomial_division(d):
 
 
 @pytest.mark.parametrize(
-    "big", [2**62 - 1, 2**62, 2**63, 2**64, (2**63 - 1) // 12, (2**63 - 1) // 12 + 1]
+    "big",
+    [
+        2**62 - 1,
+        2**62,
+        2**63,
+        2**64,
+        (2**63 - 1) // 12,
+        (2**63 - 1) // 12 + 1,
+        (2**63 - 1) // 24,
+        (2**63 - 1) // 24 + 1,
+    ],
 )
 def test_canon_exact_at_the_int64_boundary(big):
-    # max |R_12| = 1, so an int64 batch takes the int64 product only while
-    # every entry is within (2^63 - 1) // 12, and the Python-int product past it
+    # rad(12) = 6 folds onto R_3, with max |R_3| = 1, so an int64 batch takes
+    # the int64 product only while every entry is within (2^63 - 1) // 24,
+    # and the Python-int product past it
     counts = [0] * 12
     counts[11] = big
     counts[6] = -big
@@ -195,14 +206,14 @@ def _division_canon(d, counts):
     return tuple(rem + [0] * (len(cyclotomic_poly(d)) - 1 - len(rem)))
 
 
-@pytest.mark.parametrize("d", [6, 12, 200, 210, 252, 344, 2000])
+@pytest.mark.parametrize("d", [6, 12, 200, 210, 252, 344, 1430, 1994, 2000])
 def test_canon_rows_and_batch_match_per_row_elements(d):
     # rows of small entries take the int64 product; a batch with an entry
-    # past 2^63 (object matrix) or past (2^63 - 1) // (d max |R|) (int64
+    # past 2^63 (object matrix) or past the int64 bound of _canon_plan (int64
     # matrix, entries near 2^62) takes the Python-int product
     small, huge, near = (_counts_rows(d, b) for b in (5000, 2**70, 2**62))
 
-    @settings(max_examples=3 if d == 2000 else 25, deadline=None)
+    @settings(max_examples=3 if d > 1000 else 25, deadline=None)
     @given(data=st.data())
     def check(data):
         big_rows = data.draw(st.sampled_from(["object", "int64"]), label="big rows")
@@ -219,18 +230,44 @@ def test_canon_rows_and_batch_match_per_row_elements(d):
     check()
 
 
-def test_canon_rows_reduce_through_the_radical(monkeypatch):
-    # Phi_2000(x) = Phi_10(x^200): the batch asks for R_10 only, and its
-    # second row, past the int64 bound, sends the whole batch to Python ints
+def _asked_reduction_matrices(monkeypatch):
+    """The m of every R_m that _canon_rows asks for, with its per-d plans
+    forgotten first, so the first call at each d builds its plan afresh."""
     asked = []
     reduction_matrix = cyc._reduction_matrix
     monkeypatch.setattr(cyc, "_reduction_matrix", lambda m: asked.append(m) or reduction_matrix(m))
+    cyc._canon_plan.cache_clear()
+    return asked
+
+
+def test_canon_rows_reduce_through_the_radical(monkeypatch):
+    # Phi_2000(x) = Phi_10(x^200) = Phi_5(-x^200): the batch asks for R_5
+    # only, and its second row, past the int64 bound, sends the whole batch
+    # to Python ints
+    asked = _asked_reduction_matrices(monkeypatch)
     rows = [list(range(-1000, 1000)), [2**62 - j for j in range(2000)]]
     canon = _canon_rows(2000, np.array(rows, dtype=np.int64))
-    assert asked == [10]
+    assert asked == [5]
     assert canon.dtype == object
     assert [tuple(c) for c in canon.tolist()] == [_division_canon(2000, r) for r in rows]
     assert _canon_rows(2000, np.zeros((0, 2000), dtype=np.int64)).shape == (0, 800)
+
+
+@pytest.mark.parametrize(
+    "d,r", [(8, 2), (12, 3), (105, 105), (1155, 1155), (1430, 715), (1994, 997)]
+)
+def test_canon_rows_fold_even_radicals_once_per_d(monkeypatch, d, r):
+    # even m = rad(d) > 2 reduces by R_(m/2) after the fold; odd d and m = 2
+    # reduce by R_m.  The plan is looked up once per d, however many batches
+    asked = _asked_reduction_matrices(monkeypatch)
+    rng = np.random.default_rng(d)
+    for _ in range(2):
+        counts = rng.integers(-50, 50, size=(2, d))
+        canon = _canon_rows(d, counts)
+        assert [tuple(c) for c in canon.tolist()] == [
+            _division_canon(d, row) for row in counts.tolist()
+        ]
+    assert asked == [r]
 
 
 def test_canon_rows_mixed_block_keeps_the_int64_rows_exact():

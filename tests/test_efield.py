@@ -254,6 +254,40 @@ def test_divmod_at_the_newton_crossover(p, k, db, dq, low_zeros):
     assert (a * b).divmod(b) == (a, Poly.zero(ctx))
 
 
+@pytest.mark.parametrize("dq", [0, poly._NEWTON_DQ - 1, poly._NEWTON_DQ, 40])
+def test_floordiv_is_the_quotient_without_the_remainder_product(monkeypatch, dq):
+    """a // b is divmod's quotient.  It makes no remainder product: one
+    kernel product fewer than divmod, and none at all below the Newton
+    crossover.  RatFunc divides by the gcd with it: its only divmod calls
+    are the gcd's."""
+    ctx = make_field(7)
+    rng = random.Random(dq)
+    a, b = dividend_and_divisor(ctx, rng, dq, 9, 0)
+    products = []
+    kron = poly._kron
+    monkeypatch.setattr(poly, "_kron", lambda *args: products.append(1) or kron(*args))
+    quot = a // b
+    quotient_products = len(products)
+    assert quot == schoolbook_divmod(a, b)[0]
+    products.clear()
+    assert a.divmod(b) == schoolbook_divmod(a, b)
+    assert len(products) == quotient_products + 1
+    assert quotient_products == (0 if dq < poly._NEWTON_DQ else len(products) - 1)
+    assert Poly.one(ctx) // b == Poly.zero(ctx) and a // Poly.one(ctx) == a
+    with pytest.raises(ZeroDivisionError):
+        a // Poly.zero(ctx)
+
+    expected = RatFunc(a, b)
+    num, den = a * Poly(ctx, [3, 1]), b * Poly(ctx, [3, 1])
+    divmods = []
+    divmod_ = Poly.divmod
+    monkeypatch.setattr(Poly, "divmod", lambda x, y: divmods.append(1) or divmod_(x, y))
+    num.gcd(den)
+    gcd_divmods, divmods[:] = len(divmods), []
+    assert RatFunc(num, den) == expected
+    assert len(divmods) == gcd_divmods
+
+
 @pytest.mark.parametrize(
     "p,m,width",
     [(5, 60, "<u2"), (7, 60, "<u2"), (31, 36, "<u2"), (31, 37, "<u4"), (31, 60, "<u4")],

@@ -26,6 +26,22 @@ def test_certify_all(capsys):
     ]
 
 
+def test_certify_all_reads_uncovered_orbits_without_the_decoded_view(monkeypatch, capsys):
+    from fermatlines.certify import Certificate
+
+    def forbidden(self):
+        raise AssertionError("the decoded view was built")
+
+    for view in ("tuples", "coverage"):
+        monkeypatch.setattr(Certificate, view, property(forbidden))
+    assert load("certify_all").main(["--fields", "11,13"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [
+        "   11     9 NOT_CERTIFIED              1  2,6,10",
+        "   13    13 FULL_RANK_CERTIFIED        1  -",
+    ]
+
+
 def test_certify_all_rejects_non_prime_power(capsys):
     assert load("certify_all").main(["--fields", "12"]) == 2
     assert "not an odd prime power: 12" in capsys.readouterr().err
