@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from fermatlines.certify import certify, expected_rank
-from fermatlines.gf import check_field, make_field, prime_power
+from fermatlines.gf import SIZE_CAP, check_field, make_field, prime_power
 
 
 def parse_args(argv=None):
@@ -35,15 +35,19 @@ def main(argv=None) -> int:
     fields = []
     for token in filter(None, args.fields.split(",")):
         try:
-            pk = prime_power(int(token))
+            q = int(token)
         except ValueError:
-            pk = None
+            q = 0
+        if q * q > SIZE_CAP:  # before prime_power, which trial-divides q
+            print(f"error: q^2 = {q}^2 exceeds the size cap {SIZE_CAP}", file=sys.stderr)
+            return 2
+        pk = prime_power(q)
         if pk is None or pk[0] == 2:
             print(f"not an odd prime power: {token}", file=sys.stderr)
             return 2
         try:
             check_field(*pk)
-        except ValueError as e:  # characteristic 3 or over the size cap
+        except ValueError as e:  # characteristic 3
             print(f"error: {e}", file=sys.stderr)
             return 2
         fields.append(pk)

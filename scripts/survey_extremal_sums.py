@@ -20,7 +20,7 @@ import argparse
 import sys
 
 from fermatlines.charsum import survey_N
-from fermatlines.gf import check_field, make_field, prime_power
+from fermatlines.gf import SIZE_CAP, check_field, make_field, prime_power
 
 
 def parse_args(argv=None):
@@ -50,12 +50,20 @@ def main(argv=None) -> int:
     if args.order < 3:
         print(f"error: --order must be at least 3, got {args.order}", file=sys.stderr)
         return 2
+    # every q is checked against the size cap before prime_power trial-divides it
+    if args.upto**2 > SIZE_CAP:
+        print(f"error: q^2 = {args.upto}^2 exceeds the size cap {SIZE_CAP}", file=sys.stderr)
+        return 2
     fields = [(p, 1) for p in range(7, args.upto + 1) if p % 4 == 3 and is_prime(p)]
     for token in filter(None, args.fields.split(",")):
         try:
-            pk = prime_power(int(token))
+            q = int(token)
         except ValueError:
-            pk = None
+            q = 0
+        if q * q > SIZE_CAP:
+            print(f"error: q^2 = {q}^2 exceeds the size cap {SIZE_CAP}", file=sys.stderr)
+            return 2
+        pk = prime_power(q)
         if pk is None:
             print(f"not a prime power: {token}", file=sys.stderr)
             return 2

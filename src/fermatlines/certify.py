@@ -37,16 +37,18 @@ scans keep their own plane and batches; they do not read the histogram
 that ``sum_S`` caches.
 
 A ``Certificate`` keeps, per witnessed orbit, its witness c and the canon
-rows of its batch, and ``to_json_dict`` writes the coverage from them with
-no ExponentTuple, CycElt or CoverageEntry per tuple.  ``tuples`` and
-``coverage`` are a decoded view, built once on first access, for callers
-that want the objects (the csv and pretty output, the tests); ``uncovered``
-reads the uncovered indices without it.
+rows of its batch.  ``to_json_dict`` writes the coverage from them with no
+ExponentTuple, CycElt or CoverageEntry per tuple, and every output format
+of the command line renders those JSON rows; ``uncovered`` reads the
+uncovered indices from the groups.  ``coverage`` is a decoded view of the
+same rows (tuple -> CoverageEntry), built once on first access for the
+tests and the benchmark's tracer.
 
 ``certify_general`` scans every tuple against every admissible c with no
 Galois transfer, computing every sum by the F_{q^2} sweep
-``_sweep_counts``; it is the brute-force oracle the tests compare against
-and shares no sum route with ``certify``.
+``_sweep_counts``; it is the brute-force oracle the tests compare against,
+shares no sum route with ``certify``, and records each covered tuple as a
+witnessed group of its own.
 """
 
 from __future__ import annotations
@@ -115,9 +117,8 @@ class Certificate:
     Each group of ``witnessed`` is (indices, c, rows): the indices i of the
     tuples (i, i, i, -3i) that witness c covers, and the canon rows of S_c
     on them, in the same order.  Every other nontrivial tuple is uncovered.
-    ``to_json_dict`` writes the coverage straight from the groups;
-    ``tuples`` (``w_tuples(d)``) and ``coverage`` (tuple -> CoverageEntry,
-    in tuple order) are the decoded view, built once on first access.
+    ``to_json_dict`` writes the coverage rows straight from the groups, and
+    the csv and pretty output render those rows.
     """
 
     def __init__(self, q: int, verdict: str, lines_used: int, orbits, witnessed):
@@ -142,6 +143,8 @@ class Certificate:
         d = self.q + 1
         found = self._found()
         dlog = {c.code: c.dlog for _, c, _ in self.witnessed}
+        # the trivial character pairs to the constant 1/d on every translated
+        # line class, which is nonzero; no S computation is involved
         coverage = [{"tuple": [0, 0, 0, 0], "c": None, "S_canon": None, "nonzero": True}]
         for i in range(1, d):
             if 3 * i % d:
@@ -164,17 +167,18 @@ class Certificate:
         }
 
     @cached_property
-    def tuples(self) -> tuple[ExponentTuple, ...]:
-        return w_tuples(self.q + 1)
-
-    @cached_property
     def coverage(self) -> dict[ExponentTuple, CoverageEntry]:
+        """The rows decoded, tuple -> CoverageEntry over ``w_tuples(d)`` in
+        order, built once on first access.  Only the tests and the
+        benchmark's tracer (``perfbench/tracing.py``, which reads
+        ``coverage`` by name) read it; it can go once the tracer reads the
+        rows instead, with the benchmark's next version."""
         d, found = self.q + 1, self._found()
-        coverage = {self.tuples[0]: _trivial_entry(self.tuples[0])}
-        for t in self.tuples[1:]:
+        coverage = {}
+        for t in w_tuples(d):
             c, row = found.get(t.i0, (None, None))
             s = None if row is None else CycElt._from_canon(d, row)
-            coverage[t] = CoverageEntry(t, c, s, s is not None)
+            coverage[t] = CoverageEntry(t, c, s, s is not None or t.i0 == 0)
         return coverage
 
 
@@ -189,25 +193,6 @@ def _certificate(ctx: FieldCtx, witnessed: list, orbits: list[list[int]]) -> Cer
         orbits,
         witnessed,
     )
-
-
-def _assemble(
-    ctx: FieldCtx, coverage: dict, tuples: list[ExponentTuple], orbits: list[list[int]]
-) -> Certificate:
-    # certify_general's per-tuple coverage, one witnessed group per tuple;
-    # tuples is w_tuples(ctx.d) and orbits is galois_orbits(ctx.d)
-    witnessed = [
-        ([t.i0], e.c, [list(e.s_value.canon)])
-        for t in tuples[1:]
-        if (e := coverage[t]).nonzero
-    ]
-    return _certificate(ctx, witnessed, orbits)
-
-
-def _trivial_entry(trivial: ExponentTuple) -> CoverageEntry:
-    # the trivial character pairs to the constant 1/d on every translated
-    # line class, which is nonzero; no S computation is involved
-    return CoverageEntry(trivial, None, None, True)
 
 
 def _entries(d: int, i: int) -> tuple[int, int, int, int]:
@@ -313,19 +298,17 @@ def certify(ctx: FieldCtx) -> Certificate:
 
 def certify_general(ctx: FieldCtx) -> Certificate:
     """Brute-force certificate attempt: every tuple against every admissible
-    c.  NOT_CERTIFIED (an uncovered tuple) is a valid outcome, not an error."""
+    c, each covered tuple its own witnessed group.  NOT_CERTIFIED (an
+    uncovered tuple) is a valid outcome, not an error."""
     d = ctx.d
     admissible = admissible_values(ctx)
     two_q = CycElt.from_int(d, 2 * ctx.q)
-    tuples = w_tuples(d)
-    coverage = {tuples[0]: _trivial_entry(tuples[0])}
-    for t in tuples[1:]:
-        entry = CoverageEntry(t, None, None, False)
+    orbits = galois_orbits(d)
+    witnessed = []
+    for i in sorted(i for orbit in orbits for i in orbit):
         for c in admissible:
-            counts = _sweep_counts(ctx, [(t.i0, 0), (t.i1, 1), (t.i2, c.code)])
-            s = CycElt(d, counts.tolist())
+            s = CycElt(d, _sweep_counts(ctx, [(i, 0), (i, 1), (i, c.code)]).tolist())
             if s != two_q:
-                entry = CoverageEntry(t, c, s, True)
+                witnessed.append(([i], c, [list(s.canon)]))
                 break
-        coverage[t] = entry
-    return _assemble(ctx, coverage, tuples, galois_orbits(d))
+    return _certificate(ctx, witnessed, orbits)

@@ -239,8 +239,9 @@ class _PlaneSweep:
         head %= d
         self._head = head.astype(np.int16)
         del head
-        P *= i2  # i2 * P < d^2 in int32
-        P %= d
+        if i2 != 1:  # P is already reduced, so i2 = 1 needs neither pass
+            P *= i2  # i2 * P < d^2 in int32
+            P %= d
         tail = P.astype(np.int16)
         del P
         self._tail0 = tail[:, :1].copy()

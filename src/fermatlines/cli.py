@@ -36,12 +36,16 @@ from .gf import (
     ContradictionError,
     FieldCtx,
     FqElem,
-    _is_prime,
+    check_field,
     make_field,
     primitive_root_of_unity,
 )
 
 SCHEMA = 1
+
+# rank builds no field, so its cap on q^2 only bounds the trial divisions
+# behind it (about 10^6 at q = 10^12, about 0.2 s)
+RANK_CAP = 10**24
 
 __all__ = ["main", "build_parser"]
 
@@ -274,29 +278,24 @@ def cmd_point(ctx: FieldCtx, args) -> int:
 def cmd_certify(ctx: FieldCtx, args) -> int:
     _require_extended(args, "certification", ctx.q)
     cert = certify(ctx)
+    doc = cert.to_json_dict()
     if args.format == "json":
-        _emit_json(cert.to_json_dict())
+        _emit_json(doc)
     elif args.format == "csv":
-        width = max(
-            (len(e.s_value.canon) for e in cert.coverage.values() if e.s_value is not None),
-            default=0,
-        )
+        canons = [e["S_canon"] or [] for e in doc["coverage"]]
+        width = max(map(len, canons))
         header = ["i0", "i1", "i2", "i3", "c", "nonzero"] + [f"S_{j}" for j in range(width)]
-        rows = []
-        for t in cert.tuples:
-            e = cert.coverage[t]
-            canon = list(e.s_value.canon) if e.s_value is not None else []
-            canon += [""] * (width - len(canon))
-            rows.append(
-                [t.i0, t.i1, t.i2, t.i3, "" if e.c is None else e.c.dlog, e.nonzero]
-                + canon
-            )
+        rows = [
+            e["tuple"] + ["" if e["c"] is None else e["c"], e["nonzero"]]
+            + canon + [""] * (width - len(canon))
+            for e, canon in zip(doc["coverage"], canons)
+        ]
         _emit_csv(header, rows)
     else:
         print(f"q = {ctx.q}: {cert.verdict}")
         print(f"expected rank: {cert.expected_rank}")
         print(f"lines used: {cert.lines_used}")
-        uncovered = [t.entries for t in cert.tuples if not cert.coverage[t].nonzero]
+        uncovered = [tuple(e["tuple"]) for e in doc["coverage"] if not e["nonzero"]]
         if uncovered:
             print(f"uncovered tuples: {uncovered}")
         print(f"orbits: {cert.galois_orbits}")
@@ -304,9 +303,7 @@ def cmd_certify(ctx: FieldCtx, args) -> int:
 
 
 def cmd_rank(args) -> int:
-    if not _is_prime(args.p):
-        raise ValueError(f"p = {args.p} is not prime")
-    q = args.p**args.k
+    q = check_field(args.p, args.k, RANK_CAP)
     r = expected_rank(q)
     if args.format == "json":
         _emit_json({"q": q, "expected_rank": r})

@@ -326,11 +326,7 @@ class FieldCtx:
     # -- code-level arithmetic ----------------------------------------------
 
     def decode(self, code: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.deg):
-            out.append(code % self.p)
-            code //= self.p
-        return tuple(out)
+        return tuple(_code_digits(code, self.p, self.deg))
 
     def add_codes(self, a: int, b: int) -> int:
         p = self.p
@@ -608,20 +604,26 @@ def _build_tables(p, n, modulus, g_code):
     return exp, dlog
 
 
-def check_field(p: int, k: int = 1) -> None:
-    """Raise ValueError unless make_field(p, k) is within its limits: p a
-    prime of at least 5, k >= 1 and q^2 <= SIZE_CAP.  Builds nothing."""
+def check_field(p: int, k: int = 1, cap: int = SIZE_CAP) -> int:
+    """Return q = p^k, or raise ValueError unless p is a prime of at least
+    5, k >= 1 and q^2 <= cap (make_field's cap is SIZE_CAP).  Builds
+    nothing.
+
+    The cap is checked first, with p clipped to cap and 2k to bits(cap): p
+    over cap has p^2 over it and 2k >= bits(cap) has 2^(2k) over it, so the
+    clipped power, at most cap^bits(cap), is over cap exactly when q^2 is.
+    No primality test or power of an unbounded p or k is made."""
     if not isinstance(p, int) or not isinstance(k, int):
         raise ValueError("p and k must be integers")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if min(p, cap) ** min(2 * k, cap.bit_length()) > cap:
+        raise ValueError(f"q^2 = {p}^{2 * k} exceeds the size cap {cap}")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if p < 5:
         raise ValueError(f"characteristic must be at least 5, got {p}")
-    q = p**k
-    if q * q > SIZE_CAP:
-        raise ValueError(f"q^2 = {q * q} exceeds the size cap {SIZE_CAP}")
+    return p**k
 
 
 def make_field(p: int, k: int = 1) -> FieldCtx:

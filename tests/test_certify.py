@@ -160,15 +160,15 @@ def test_order2_sum_equals_frobenius_trace_identity_q11():
 
 def _check_internal_invariants(cert, ctx):
     d = ctx.d
-    # the tuple list is exactly w_tuples(d) and covers every tuple once
-    assert cert.tuples == w_tuples(d)
-    assert set(cert.coverage) == set(cert.tuples)
+    tuples = w_tuples(d)
+    # the coverage covers every tuple of w_tuples(d) once
+    assert list(cert.coverage) == list(tuples)
     # dimension bookkeeping: trivial + nontrivial = d or d-2
     expected_dim = d if d % 3 == 2 else d - 2
-    assert len(cert.tuples) == expected_dim
+    assert len(tuples) == expected_dim
     # verdict iff every entry nonzero
     assert (cert.verdict == FULL_RANK_CERTIFIED) == all(
-        cert.coverage[t].nonzero for t in cert.tuples
+        cert.coverage[t].nonzero for t in tuples
     )
     # lines_used counts distinct witness elements among nonzero entries
     used = {e.c.code for e in cert.coverage.values() if e.c is not None and e.nonzero}
@@ -179,7 +179,7 @@ def _check_internal_invariants(cert, ctx):
     # every recorded S for a nonzero entry differs from 2q; uncovered
     # entries carry no witness data
     two_q = CycElt.from_int(d, 2 * ctx.q)
-    for t in cert.tuples[1:]:
+    for t in tuples[1:]:
         e = cert.coverage[t]
         if e.nonzero:
             assert e.c is not None and e.s_value is not None
@@ -241,7 +241,7 @@ def test_certify_q11_not_certified():
     cert = certify(F)
     assert cert.verdict == NOT_CERTIFIED
     _check_internal_invariants(cert, F)
-    uncovered = [t for t in cert.tuples if not cert.coverage[t].nonzero]
+    uncovered = [t for t in w_tuples(F.d) if not cert.coverage[t].nonzero]
     assert [t.entries[0] for t in uncovered] == [2, 6, 10]
     # the uncovered indices are unions of whole Galois orbits
     uncovered_is = {t.entries[0] for t in uncovered}
@@ -279,9 +279,8 @@ def test_certify_agrees_with_general_q7_mod_12(q):
     F = field(q)
     a, b = certify(F), certify_general(F)
     assert a.verdict == b.verdict == FULL_RANK_CERTIFIED
-    assert a.tuples == b.tuples
-    assert [a.coverage[t].nonzero for t in a.tuples] == [
-        b.coverage[t].nonzero for t in b.tuples
+    assert [e.nonzero for e in a.coverage.values()] == [
+        e.nonzero for e in b.coverage.values()
     ]
 
 
@@ -546,17 +545,21 @@ def test_decoded_coverage_matches_an_entry_by_entry_rebuild(q):
         s = CycElt(d, counts.tolist())
         assert list(s.canon) == item["S_canon"]
         rebuilt[t] = certify_mod.CoverageEntry(t, c, s, item["nonzero"])
-    assert cert.tuples == w_tuples(d)
-    assert list(cert.coverage) == list(rebuilt) == list(cert.tuples)
+    assert list(cert.coverage) == list(rebuilt) == list(w_tuples(d))
     assert cert.coverage == rebuilt
     assert cert.coverage is cert.coverage  # built once
-    assert cert.uncovered == [t.i0 for t in cert.tuples if not cert.coverage[t].nonzero]
+    assert cert.uncovered == [t.i0 for t, e in cert.coverage.items() if not e.nonzero]
 
 
-@pytest.mark.parametrize("q", [11, 13, 19, 71])
-def test_certify_json_builds_no_object_per_tuple(monkeypatch, capsys, q):
-    # the JSON is written from the canon rows: no ExponentTuple, CycElt or
-    # CoverageEntry is constructed, however many tuples there are
+@pytest.mark.parametrize(
+    "fmt,q",
+    [pytest.param("json", q, id=str(q)) for q in (11, 13, 19, 71)]
+    + [pytest.param(f, q, id=f"{f}-{q}") for f in ("csv", "pretty") for q in (11, 13, 19, 71)],
+)
+def test_certify_json_builds_no_object_per_tuple(monkeypatch, capsys, fmt, q):
+    # every format is rendered from the JSON coverage rows, which are written
+    # from the canon rows: no ExponentTuple, CycElt or CoverageEntry is
+    # constructed, however many tuples there are
     built, tuples = [], len(w_tuples(q + 1))
 
     def counting(cls, method):
@@ -572,10 +575,13 @@ def test_certify_json_builds_no_object_per_tuple(monkeypatch, capsys, q):
     counting(CycElt, "_from_canon")
     counting(certify_mod.CoverageEntry, "__init__")
     field(q)
-    rc = cli_mod.main(["certify", "--p", str(q), "--extended", "--format", "json"])
-    doc = json.loads(capsys.readouterr().out)
-    assert rc == 0 and len(doc["coverage"]) == tuples
-    assert built == []
+    rc = cli_mod.main(["certify", "--p", str(q), "--extended", "--format", fmt])
+    out = capsys.readouterr().out
+    assert rc == 0 and built == []
+    if fmt == "json":
+        assert len(json.loads(out)["coverage"]) == tuples
+    elif fmt == "csv":
+        assert len(out.splitlines()) == 1 + tuples
 
 
 # ----------------------------------------------------------------------------
@@ -599,7 +605,7 @@ def test_certify_q71_computed_outcome():
     cert = certify(F)
     assert cert.verdict == FULL_RANK_CERTIFIED
     assert cert.lines_used == 2
-    assert all(cert.coverage[t].nonzero for t in cert.tuples)
+    assert all(e.nonzero for e in cert.coverage.values())
     _check_internal_invariants(cert, F)
 
 

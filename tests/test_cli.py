@@ -158,6 +158,43 @@ def test_fields_over_the_size_cap_are_usage_errors(capsys, argv):
     assert "exceeds the size cap 4000000" in capsys.readouterr().err
 
 
+HUGE_P = "1000000000000000003"  # prime, and far past the size cap
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--p", HUGE_P],
+        ["survey", "--p", HUGE_P, "--order", "4"],
+        ["lines", "--p", HUGE_P],
+        ["point", "--p", HUGE_P, "--thm1"],
+        ["certify", "--p", "5", "--k", "1000000000"],
+        ["rank", "--p", "1000000007", "--k", "2"],
+        ["rank", "--p", "5", "--k", "1000000000"],
+        ["rank", "--p", "5", "--k", "7000"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_huge_p_or_k_exits_2_before_any_work(argv):
+    # each limit is checked before p^k, a primality test or a factorisation;
+    # a fresh process with a timeout turns a hang into a failure
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "fermatlines.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: q^2 = ") and done.stderr.count("\n") == 1
+    assert "exceeds the size cap" in done.stderr
+
+
+def test_rank_limits_leave_large_q_working(capsys):
+    doc = run_json(capsys, "rank", "--p", "5", "--k", "12", "--format", "json")
+    assert doc["q"] == 5**12 and doc["expected_rank"] == 5**12
+    doc = run_json(capsys, "rank", "--p", "999983", "--k", "2", "--format", "json")
+    assert doc["q"] == doc["expected_rank"] == 999983**2  # = 1 mod 3
+
+
 @pytest.mark.extended
 def test_survey_q343_extended(capsys):
     doc = run_json(

@@ -2,6 +2,9 @@
 prints its known output lines."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,8 +35,7 @@ def test_certify_all_reads_uncovered_orbits_without_the_decoded_view(monkeypatch
     def forbidden(self):
         raise AssertionError("the decoded view was built")
 
-    for view in ("tuples", "coverage"):
-        monkeypatch.setattr(Certificate, view, property(forbidden))
+    monkeypatch.setattr(Certificate, "coverage", property(forbidden))
     assert load("certify_all").main(["--fields", "11,13"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1:] == [
@@ -65,6 +67,19 @@ def test_survey_extremal_sums_rejects_bad_input_with_usage_exit(capsys, argv):
     assert load("survey_extremal_sums").main(["--upto", "0", *argv]) == 2
     err = capsys.readouterr().err
     assert err.strip() and "\n" not in err.strip()
+
+
+@pytest.mark.parametrize("script", ["certify_all", "survey_extremal_sums"])
+def test_scripts_reject_a_huge_field_at_once(script):
+    # the size cap is checked before prime_power trial-divides the field; a
+    # fresh process with a timeout turns a hang into a failure
+    env = dict(os.environ, PYTHONPATH=str(SCRIPTS.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / f"{script}.py"), "--fields", "1000000000000000003"],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "exceeds the size cap" in done.stderr and done.stderr.count("\n") == 1
 
 
 def _forbidden(*args):

@@ -3,6 +3,8 @@
 ``perfbench/run.py --trace 1`` wraps the functions and methods listed in
 ``perfbench/tracing.py``; a rename or a move in the package would make it
 fail.  The lists are read from that file here without installing them.
+The tracer's certify note is the one runtime reader of the certificate's
+decoded ``coverage`` view, so its count is checked against the JSON rows.
 """
 
 import importlib
@@ -41,3 +43,17 @@ def test_counted_scalar_method_is_defined_on_field_ctx(meth):
     from fermatlines.gf import FieldCtx
 
     assert meth in FieldCtx.__dict__
+
+
+@pytest.mark.parametrize("q", [11, 13])
+def test_certify_note_counts_the_covered_nontrivial_rows(q):
+    from fermatlines.certify import certify
+    from fermatlines.gf import make_field
+
+    ctx = make_field(q)
+    cert = certify(ctx)
+    tracer = tracing.Tracer()
+    tracer._note_certify((ctx,), cert)
+    rows = cert.to_json_dict()["coverage"]
+    assert rows[0]["tuple"] == [0, 0, 0, 0]
+    assert tracer.witnesses == sum(1 for e in rows[1:] if e["nonzero"])
