@@ -83,12 +83,18 @@ NOT_CERTIFIED = "NOT_CERTIFIED"
 
 
 def expected_rank(q: int) -> int:
-    """The rank formula: q for q = 1 mod 3, q - 2 for q = 2 mod 3."""
+    """The rank formula (_rank_formula) at a checked q: an integer prime
+    power of characteristic at least 5."""
     pk = prime_power(q) if isinstance(q, int) else None
     if pk is None:
         raise ValueError("q must be an integer prime power")
     if pk[0] < 5:
         raise ValueError("the characteristic must be at least 5")
+    return _rank_formula(q)
+
+
+def _rank_formula(q: int) -> int:
+    """q for q = 1 mod 3, q - 2 for q = 2 mod 3; q is not checked."""
     return q if q % 3 == 1 else q - 2
 
 

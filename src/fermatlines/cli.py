@@ -28,7 +28,7 @@ import json
 import sys
 from functools import lru_cache
 
-from .certify import certify, expected_rank
+from .certify import _rank_formula, certify
 from .charsum import ExponentTuple, admissible_values, is_admissible, sum_S, survey_N
 from .efield import construct_point, mu_d_translate
 from .fermat import Line, line_for_thm1, lines_for_c
@@ -303,8 +303,8 @@ def cmd_certify(ctx: FieldCtx, args) -> int:
 
 
 def cmd_rank(args) -> int:
-    q = check_field(args.p, args.k, RANK_CAP)
-    r = expected_rank(q)
+    q = check_field(args.p, args.k, RANK_CAP)  # q = p^k with p prime, p >= 5
+    r = _rank_formula(q)
     if args.format == "json":
         _emit_json({"q": q, "expected_rank": r})
     elif args.format == "csv":

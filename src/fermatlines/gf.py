@@ -15,11 +15,16 @@ multiplicative order is q^2 - 1) and two tables are built once per field:
     exp[m]  = code of g^m            for 0 <= m < q^2 - 1
     dlog[x] = m with g^m = x, or -1  for codes x (dlog[0] = -1)
 
-Both are read-only int32 arrays (q^2 <= SIZE_CAP = 4M fits).  exp is built
-in numpy blocks: multiplication by g is a 2k x 2k matrix A over F_p, so one
-matrix product advances a whole block of digit vectors at a time (see
-_build_tables), and dlog is filled by scatter.  The modulus scan skips the
-candidates with constant term 0, which are all divisible by w.
+Both are read-only int32 arrays (q^2 <= SIZE_CAP = 4M fits).  The whole
+build runs on 2k x 2k matrices over F_p, in int64: multiplication by w is
+the companion matrix C of the modulus, and multiplication by an element
+with digits v is sum_j v_j C^j.  The modulus scan tests each candidate by
+Rabin's criterion on its C (_is_irreducible), skipping the candidates with
+constant term 0, which are all divisible by w; the generator scan powers
+the matrices of 8 candidates at a time, as one stack.  exp is built in
+numpy blocks with the generator's matrix A, one matrix product advancing a
+whole block of digit vectors at a time (see _build_tables), and dlog is
+filled by scatter.
 
 In this encoding the subgroups in play are transparent: x = g^m lies in
 the middle field F_q iff d | m, and x lies in mu_d (the d-th roots of
@@ -71,7 +76,7 @@ class NonRationalError(ContradictionError):
 
 
 # ----------------------------------------------------------------------------
-# polynomial helpers over F_p (dense coefficient tuples, low degree first)
+# integers, and the matrices over F_p that build the field
 # ----------------------------------------------------------------------------
 
 
@@ -97,92 +102,57 @@ def _code_digits(code: int, p: int, n: int) -> list[int]:
     return out
 
 
-def _pp_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+def _companion(coeffs, p: int) -> np.ndarray:
+    """The n x n matrix C over F_p of multiplication by w modulo the monic
+    w^n + sum_i coeffs[i] w^i.  Row i holds the digits of w^(i+1), so a row
+    vector of digits times C is the digits of x * w (the convention of
+    _build_tables)."""
+    C = np.eye(len(coeffs), k=1, dtype=np.int64)
+    C[-1] = [-c % p for c in coeffs]
+    return C
 
 
-def _pp_mulmod(a, b, modulus, p):
-    """Product of a and b reduced mod (monic) modulus, all over F_p."""
-    if not a or not b:
-        return ()
-    n = len(modulus)  # degree of modulus; a, b have degree < n
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for deg in range(len(prod) - 1, n - 1, -1):
-        top = prod[deg]
-        if top:
-            prod[deg] = 0
-            for j, mj in enumerate(modulus):
-                prod[deg - n + j] = (prod[deg - n + j] - top * mj) % p
-    return _pp_trim(prod[:n])
+def _mat_pow(M: np.ndarray, e: int, p: int) -> np.ndarray:
+    """M^e mod p by square-and-multiply, in int64, for one matrix or a stack.
 
-
-def _pp_powmod(a, e, modulus, p):
-    result = (1,)
-    base = a
+    Every factor has entries below p, so an entry of a product is a sum of
+    n terms below p^2.  Under SIZE_CAP, n = 2k <= 8 and p < 2000, so every
+    sum is below 8 * 1999^2 < 2^35 and nothing overflows."""
+    R = np.eye(M.shape[-1], dtype=np.int64)
     while e:
         if e & 1:
-            result = _pp_mulmod(result, base, modulus, p)
-        base = _pp_mulmod(base, base, modulus, p)
+            R = R @ M % p
+        M = M @ M % p
         e >>= 1
-    return result
+    return R
 
 
-def _pp_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        # reduce a mod b
-        inv_lead = pow(b[-1], p - 2, p)
-        while len(a) >= len(b):
-            top = a[-1] * inv_lead % p
-            if top:
-                shift = len(a) - len(b)
-                for j, bj in enumerate(b):
-                    a[shift + j] = (a[shift + j] - top * bj) % p
-            a.pop()
-            while a and a[-1] == 0:
-                a.pop()
-            if not a:
-                break
-        a, b = b, a
-    return _pp_trim(a)
+def _is_irreducible(coeffs, p: int) -> bool:
+    """Whether the monic f = w^n + sum_i coeffs[i] w^i is irreducible over
+    F_p: Rabin's test on the companion matrix C, with no gcd.
 
-
-def _pp_is_irreducible(coeffs, p):
-    """Monic polynomial irreducibility over F_p.
-
-    coeffs lists the non-leading coefficients low-first; the leading
-    coefficient 1 is implied.  Uses the derived-from-Frobenius criterion:
-    f of degree n is irreducible iff x^(p^n) = x mod f and, for each prime
-    r | n, gcd(x^(p^(n/r)) - x, f) = 1.
-    """
+    Rabin: f is irreducible iff f | w^(p^n) - w and, for each prime r | n,
+    gcd(w^(p^(n/r)) - w, f) = 1.  The first condition is C^(p^n) = C.  It
+    makes f squarefree with every factor's degree dividing n, so
+    R = F_p[w]/(f) is a product of fields F_(p^e) with e | n, and h in R is a
+    unit exactly when h^(p^n - 1) = 1.  The gcd is 1 exactly when
+    h = w^(p^(n/r)) - w is a unit, so the second condition becomes
+    (C^(p^(n/r)) - C)^(p^n - 1) = I.  No tested f needs the first check,
+    but the unit argument does: without it R may have nilpotents, or fields
+    whose unit groups' orders do not divide p^n - 1, and h^(p^n - 1) = 1 no
+    longer says whether h is a unit."""
     n = len(coeffs)
-    modulus = tuple(coeffs)  # _pp_mulmod wants the non-leading part, monic implied
-
-    def x_pow_p_iter(times):
-        # x^(p^times) mod f by iterated p-th powering
-        t = (0, 1)
-        for _ in range(times):
-            t = _pp_powmod(t, p, modulus, p)
-        return t
-
-    full = tuple(coeffs) + (1,)
-    for r in _prime_factors(n):
-        t = x_pow_p_iter(n // r)
-        diff = list(t) + [0] * (2 - len(t))
-        diff[1] = (diff[1] - 1) % p
-        g = _pp_gcd(full, _pp_trim(diff), p)
-        if len(g) != 1:
-            return False
-    t = x_pow_p_iter(n)
-    diff = list(t) + [0] * (2 - len(t))
-    diff[1] = (diff[1] - 1) % p
-    return not _pp_trim(diff)
+    C = _companion(coeffs, p)
+    frob = [C]  # frob[j] = C^(p^j)
+    for _ in range(n):
+        frob.append(_mat_pow(frob[-1], p, p))
+    if not np.array_equal(frob[n], C):
+        return False
+    eye = np.eye(n, dtype=np.int64)
+    return all(
+        np.array_equal(_mat_pow((frob[n // r] - C) % p, p**n - 1, p), eye)
+        for r in _prime_factors(n)
+    )
 
 
 def _lex_smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
@@ -195,7 +165,7 @@ def _lex_smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
     """
     for code in range(p ** (n - 1), p**n):
         digits = _code_digits(code, p, n)[::-1]  # code counts up in lex order
-        if _pp_is_irreducible(digits, p):
+        if _is_irreducible(digits, p):
             return tuple(digits)
     raise ContradictionError("no irreducible polynomial found (impossible)")
 
@@ -563,21 +533,16 @@ class FqElem:
 _BLOCK = 1 << 12
 
 
-def _build_tables(p, n, modulus, g_code):
+def _build_tables(p, n, A):
     """The int32 tables exp and dlog of the generator g, built in blocks.
 
-    A is the n x n matrix over F_p of multiplication by g: row i holds the
-    digits of w^i * g, so a row vector of digits times A is the digits of
-    x * g.  The first block of B powers g^0..g^(B-1) comes by doubling,
-    each later one as V <- V A^B mod p; codes are V @ (p^0, ..., p^(n-1)).
+    A is the n x n matrix over F_p of multiplication by g, as the generator
+    scan built it: row i holds the digits of w^i * g, so a row vector of
+    digits times A is the digits of x * g.  The first block of B powers
+    g^0..g^(B-1) comes by doubling, each later one as V <- V A^B mod p;
+    codes are V @ (p^0, ..., p^(n-1)).
     """
-    A = np.zeros((n, n), dtype=np.int64)
-    row = _pp_trim(_code_digits(g_code, p, n))
-    for i in range(n):
-        A[i, : len(row)] = row
-        row = _pp_mulmod(row, (0, 1), modulus, p)
-    pows = np.array([p**i for i in range(n)], dtype=np.int64)
-
+    pows = p ** np.arange(n, dtype=np.int64)
     order = p**n - 1
     B = min(_BLOCK, order)
     V = np.zeros((B, n), dtype=np.int64)
@@ -631,11 +596,14 @@ def make_field(p: int, k: int = 1) -> FieldCtx:
 
     The same (p, k) always produces bit-identical tables: the modulus is
     the lex-least monic irreducible of degree 2k and the generator is the
-    smallest-code element of full order q^2 - 1.  The modulus scan starts
-    at constant term 1, since every candidate with constant term 0 is
-    divisible by w.  exp and dlog are int32, built block by block with the
-    matrix of multiplication by g (_build_tables); the build checks that
-    g^(q^2-1) = 1 and that dlog has exactly one -1, so exp hits every
+    smallest-code element of full order q^2 - 1.  Both scans work on
+    matrices over F_p: the modulus scan runs Rabin's test on each
+    candidate's companion matrix C, starting at constant term 1 since every
+    candidate with constant term 0 is divisible by w, and the generator scan
+    raises each candidate's matrix sum_j v_j C^j to (q^2 - 1)/r for each
+    prime r | q^2 - 1, 8 candidates per stack.  exp and dlog are int32, built block by block with
+    the matrix of multiplication by g (_build_tables); the build checks
+    that g^(q^2-1) = 1 and that dlog has exactly one -1, so exp hits every
     nonzero code once.
 
     The limits are checked on every call; the build is cached on the
@@ -652,23 +620,30 @@ def _build_field(p: int, k: int) -> FieldCtx:
     n = 2 * k
     modulus = _lex_smallest_irreducible(p, n)
 
+    powers = np.array([_mat_pow(_companion(modulus, p), j, p) for j in range(n)])
+    pows = p ** np.arange(n)
+    eye = np.eye(n, dtype=np.int64)
     order = q * q - 1
     cofactors = [order // r for r in _prime_factors(order)]
 
-    # codes below p are the elements of F_p, whose orders divide p - 1 < q^2 - 1
-    g_code = None
-    for code in range(p, q * q):
-        cand = _pp_trim(_code_digits(code, p, n))
-        if all(_pp_powmod(cand, cf, modulus, p) != (1,) for cf in cofactors):
-            g_code = code
+    # Codes below p are the elements of F_p, whose orders divide p - 1 < q^2 - 1.
+    # The scan tests 8 codes at a time, as the stack of their matrices
+    # sum_j v_j C^j for digits v: a stack of 8 small matrices costs little
+    # more per product than one, and the first hit is the smallest code.
+    for lo in range(p, q * q, 8):
+        codes = np.arange(lo, min(lo + 8, q * q))
+        A = np.tensordot(codes[:, None] // pows % p, powers, 1) % p
+        ok = np.all([(_mat_pow(A, cf, p) != eye).any((-2, -1)) for cf in cofactors], 0)
+        if ok.any():
+            g = ok.argmax()
             break
-    if g_code is None:
+    else:
         raise ContradictionError("no generator found (impossible for a field)")
 
-    exp, dlog = _build_tables(p, n, modulus, g_code)
+    exp, dlog = _build_tables(p, n, A[g])
     exp.flags.writeable = False
     dlog.flags.writeable = False
-    return FieldCtx(p, k, modulus, g_code, exp, dlog)
+    return FieldCtx(p, k, modulus, int(codes[g]), exp, dlog)
 
 
 def frobenius(ctx: FieldCtx, x: FqElem) -> FqElem:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from fermatlines import gf
 from fermatlines.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -193,6 +194,17 @@ def test_rank_limits_leave_large_q_working(capsys):
     assert doc["q"] == 5**12 and doc["expected_rank"] == 5**12
     doc = run_json(capsys, "rank", "--p", "999983", "--k", "2", "--format", "json")
     assert doc["q"] == doc["expected_rank"] == 999983**2  # = 1 mod 3
+
+
+def test_rank_does_not_factorise_q(monkeypatch, capsys):
+    # check_field has already shown q = p^k with p prime, so rank only
+    # applies the formula
+    calls = []
+    real = gf._prime_factors
+    monkeypatch.setattr(gf, "_prime_factors", lambda n: calls.append(n) or real(n))
+    rc, out = run(capsys, "rank", "--p", "999999999989")
+    assert (rc, out) == (0, "q = 999999999989: expected rank 999999999987\n")
+    assert calls == []
 
 
 @pytest.mark.extended

@@ -2,26 +2,29 @@
 subgroup structure, character exponents, and (a, b) pair search.
 
 Oracles here are independent of the production code paths: irreducibility
-by exhaustive root/factor scan, order checks by repeated multiplication,
-and pair searches by brute force over integer residues.
+by exhaustive root/factor scan or sympy's galoistools, reference tables by
+sympy polynomial products, order checks by repeated multiplication, and
+pair searches by brute force over integer residues.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
 
 from fermatlines import gf
 from fermatlines.gf import (
     ContradictionError,
     FqElem,
     _build_tables,
+    _is_irreducible,
     _lex_smallest_irreducible,
-    _pp_is_irreducible,
-    _pp_mulmod,
     chi_exp,
     find_ab_pairs,
     frobenius,
@@ -95,14 +98,31 @@ def test_modulus_is_lex_smallest_irreducible_p5_k2():
 def test_irreducibility_helper_agrees_with_root_scan(p, k):
     for c0 in range(p):
         for c1 in range(p):
-            assert _pp_is_irreducible([c0, c1], p) == naive_irreducible_deg2(c0, c1, p)
+            assert _is_irreducible([c0, c1], p) == naive_irreducible_deg2(c0, c1, p)
+
+
+def _sympy_irreducible(coeffs, p):
+    """sympy's test on the monic w^n + sum_i coeffs[i] w^i (it wants the
+    coefficients high degree first)."""
+    return gf_irreducible_p([1] + list(coeffs)[::-1], p, ZZ)
+
+
+@pytest.mark.parametrize(
+    "p,n",
+    [(5, 2), (7, 2), (5, 3), (5, 4), (7, 4)]
+    + [pytest.param(*pn, marks=pytest.mark.extended) for pn in [(5, 6), (11, 4)]],
+)
+def test_is_irreducible_matches_sympy_on_every_monic(p, n):
+    for code in range(p**n):
+        coeffs = gf._code_digits(code, p, n)
+        assert _is_irreducible(coeffs, p) == _sympy_irreducible(coeffs, p), coeffs
 
 
 def _scan_from_zero(p, n):
     """The lex-least monic irreducible by a scan over every code from 0."""
     for code in range(p**n):
         digits = [code // p ** (n - 1 - i) % p for i in range(n)]
-        if _pp_is_irreducible(digits, p):
+        if _sympy_irreducible(digits, p):
             return tuple(digits)
     return None
 
@@ -122,6 +142,29 @@ def test_prime_power_matches_sympy():
         factors = sympy.factorint(n) if n >= 2 else {}
         expected = next(iter(factors.items())) if len(factors) == 1 else None
         assert prime_power(n) == expected, n
+
+
+def test_modulus_and_generator_pinned_at_every_cap_field(monkeypatch):
+    # every (p, k) the size cap allows, ascending: p prime, 5 <= p < 2000,
+    # k = 1..4, p^(2k) <= SIZE_CAP.  The scans alone run: the tables are
+    # stubbed out, and the uncached build keeps the stubbed contexts out of
+    # make_field's cache
+    stub = np.zeros(1, dtype=np.int32)
+    monkeypatch.setattr(gf, "_build_tables", lambda *args: (stub.copy(), stub.copy()))
+    rows = []
+    for p in filter(sympy.isprime, range(5, 2000)):
+        for k in range(1, 5):
+            if p ** (2 * k) <= gf.SIZE_CAP:
+                ctx = gf._build_field.__wrapped__(p, k)
+                rows.append([p, k, list(ctx.modulus), ctx.g_code])
+    assert len(rows) == 317
+    spots = {(p, k): (tuple(m), g) for p, k, m, g in rows}
+    assert spots[5, 4] == ((1, 0, 0, 0, 0, 1, 1, 0), 6)
+    assert spots[43, 2] == ((1, 0, 0, 5), 45)
+    assert spots[1993, 1] == ((1, 3), 1997)
+    assert spots[1999, 1] == ((1, 0), 2003)
+    digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+    assert digest == "16a4c513d649e7634be8621225e3d6474040ebb2a05b1c24823e5dd318aa7b57"
 
 
 # ----------------------------------------------------------------------------
@@ -283,18 +326,20 @@ def test_tables_match_pins(p, k):
 
 
 def _sequential_tables(ctx):
-    """exp and dlog by one _pp_mulmod per element: the reference build."""
-    p, n, order = ctx.p, ctx.deg, ctx.q * ctx.q - 1
-    g_poly = ctx.decode(ctx.g_code)
+    """exp and dlog by one sympy product and remainder per element: the
+    reference build.  sympy polynomials list coefficients high degree first."""
+    p, order = ctx.p, ctx.q * ctx.q - 1
+    g_poly = ctx.decode(ctx.g_code)[::-1]
+    modulus = [1, *ctx.modulus[::-1]]
     exp = np.zeros(order, dtype=np.int64)
     dlog = np.full(ctx.q * ctx.q, -1, dtype=np.int64)
-    cur = (1,)
+    cur = [1]
     for m in range(order):
-        code = sum(c * p**i for i, c in enumerate(cur))
+        code = sum(c * p**i for i, c in enumerate(cur[::-1]))
         exp[m] = code
         dlog[code] = m
-        cur = _pp_mulmod(cur, g_poly, ctx.modulus, p)
-    assert cur == (1,)
+        cur = gf_rem(gf_mul(cur, g_poly, p, ZZ), modulus, p, ZZ)
+    assert cur == [1]
     return exp, dlog
 
 
@@ -315,7 +360,9 @@ def test_block_tables_with_small_blocks(monkeypatch, p, k, block):
     # last block
     ctx = make_field(p, k)
     monkeypatch.setattr(gf, "_BLOCK", block)
-    exp, dlog = _build_tables(p, ctx.deg, ctx.modulus, ctx.g_code)
+    # the matrix of multiplication by g, row i the digits of w^i * g
+    A = ctx.digit_rows([ctx.mul_codes(p**i, ctx.g_code) for i in range(ctx.deg)])
+    exp, dlog = _build_tables(p, ctx.deg, A)
     assert np.array_equal(exp, ctx.exp)
     assert np.array_equal(dlog, ctx.dlog)
 
