@@ -4,9 +4,10 @@ that turns a surface line into a rational point of E.
 
 Layers
 ------
-``Poly``, ``RatFunc``  F_{q^2}[t] on the Kronecker kernel, and canonical
-                rational functions over it (the ``poly`` module).
-``CurvePoint``  a point of E with coordinates in K = F_{q^2}(t).
+``Poly``, ``RatFunc``  F_{q^2}[t] on the Kronecker kernel, and the canonical
+                form of a rational function over it (the ``poly`` module).
+``CurvePoint``  a point of E with coordinates in K = F_{q^2}(t), and the
+                group law ``curve_add``, ``curve_neg``.
 
 The construction: a line with components (f0, f1, f2) (fourth coordinate
 normalized to 1) pulls back the fibration parameter to t = f0*f1*f2, so the
@@ -34,6 +35,12 @@ numerators over one determinant, and each coordinate of the sum is
 normalised to a canonical RatFunc once, at the end.  The on-curve check
 clears denominators and compares Polys, with no gcd, and the mu_d
 translation t -> zeta*t only makes the denominator monic again.
+
+The group law is fraction-free in the same way: chord and tangent run on
+the numerators and denominators of the inputs, and each coordinate of the
+sum or the negative takes one gcd, in its RatFunc.  Every point that
+``point_from_components``, ``curve_add`` and ``mu_d_translate`` return is
+checked on the curve.
 """
 
 from __future__ import annotations
@@ -89,9 +96,6 @@ class CurvePoint:
     def is_infinity(self) -> bool:
         return self.x is None
 
-    def _td(self) -> RatFunc:
-        return RatFunc.from_poly(_t_pow_d(self.ctx))
-
     def on_curve(self) -> bool:
         """Whether the point satisfies the curve equation, checked on x =
         xn/xd, y = yn/yd with denominators cleared, on Poly:
@@ -128,18 +132,38 @@ class CurvePoint:
         return f"CurvePoint({self.pretty()})"
 
 
+def _checked(P: CurvePoint, failure: str) -> CurvePoint:
+    """P, once it is seen to satisfy the curve equation; ``failure`` is the
+    message of the ContradictionError otherwise."""
+    if not P.on_curve():
+        raise ContradictionError(failure)
+    return P
+
+
 def curve_neg(ctx: FieldCtx, P: CurvePoint) -> CurvePoint:
-    """-(x, y) = (x, -y - x + t^d)."""
+    """-(x, y) = (x, -y - x + t^d), on x = X/U and y = Y/V:
+    -y - x + t^d = (t^d*U*V - Y*U - X*V)/(U*V)."""
     if P.ctx is not ctx:
         raise ValueError("point over a different field")
     if P.is_infinity:
         return P
-    return CurvePoint(ctx, P.x, -P.y - P.x + P._td())
+    X, U, Y, V = P.x.num, P.x.den, P.y.num, P.y.den
+    return CurvePoint(ctx, P.x, RatFunc(_t_pow_d(ctx) * U * V - Y * U - X * V, U * V))
 
 
 def curve_add(ctx: FieldCtx, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-    """Chord-tangent addition on y^2 + xy - t^d*y = x^3 over K, in canonical
-    RatFunc arithmetic; both inputs are verified to lie on the curve."""
+    """Chord-tangent addition on y^2 + xy - t^d*y = x^3 over K (Silverman,
+    The Arithmetic of Elliptic Curves, III.2.3); both inputs are verified to
+    lie on the curve, and so is the sum.
+
+    Fraction-free on x_i = X_i/U_i and y_i = Y_i/V_i, with T = t^d: the slope
+    is Ln/Ld, for the chord
+        Ln = (Y2*V1 - Y1*V2)*U1*U2,  Ld = (X2*U1 - X1*U2)*V1*V2,
+    and for the tangent, where X2/U2 = X1/U1 is the same canonical pair,
+        Ln = 3*X1^2*V1 - Y1*U1^2,  Ld = U1*(2*Y1*U1 + X1*V1 - T*U1*V1).
+    Then x3 = lam^2 + lam - x1 - x2 and y3 = lam*(x1 - x3) - x3 - y1 + T over
+    common denominators, each brought to canonical form by one RatFunc; y3
+    is taken on the canonical x3 = X3/U3."""
     if P.ctx is not ctx or Q.ctx is not ctx:
         raise ValueError("points over a different field")
     if not P.on_curve() or not Q.on_curve():
@@ -148,27 +172,32 @@ def curve_add(ctx: FieldCtx, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
         return Q
     if Q.is_infinity:
         return P
-    td = P._td()
-    x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
-    if not (x1 - x2):
-        if not (y2 - (-y1 - x1 + td)):
+    T = _t_pow_d(ctx)
+    X1, U1, Y1, V1 = P.x.num, P.x.den, P.y.num, P.y.den
+    X2, U2, Y2, V2 = Q.x.num, Q.x.den, Q.y.num, Q.y.den
+    if P.x == Q.x:
+        if Q == curve_neg(ctx, P):
             return CurvePoint.infinity(ctx)
-        if y1 - y2:
+        if Q != P:
             raise ContradictionError(
-                "two curve points share x without being equal or opposite"
+                f"q = {ctx.q}: two curve points share x without being equal"
+                " or opposite"
             )
-        # doubling
-        two, three = RatFunc.const(ctx, 2), RatFunc.const(ctx, 3)
-        denom = two * y1 + x1 - td
-        lam = (three * x1 * x1 - y1) / denom
-        nu = (-(x1 * x1 * x1) + td * y1) / denom
+        Ln = (X1 * X1 * V1).scale(ctx.from_int(3)) - Y1 * U1 * U1
+        Ld = U1 * ((Y1 * U1).scale(ctx.from_int(2)) + X1 * V1 - T * U1 * V1)
     else:
-        diff = x2 - x1
-        lam = (y2 - y1) / diff
-        nu = (y1 * x2 - y2 * x1) / diff
-    x3 = lam * lam + lam - x1 - x2
-    y3 = -((lam + RatFunc.one(ctx)) * x3) - nu + td
-    return CurvePoint(ctx, x3, y3)
+        Ln = (Y2 * V1 - Y1 * V2) * U1 * U2
+        Ld = (X2 * U1 - X1 * U2) * V1 * V2
+    Ld2 = Ld * Ld
+    x3 = RatFunc((Ln + Ld) * Ln * U1 * U2 - (X1 * U2 + X2 * U1) * Ld2, Ld2 * U1 * U2)
+    X3, U3 = x3.num, x3.den
+    y3 = RatFunc(
+        Ln * (X1 * U3 - X3 * U1) * V1 - (X3 * V1 + Y1 * U3 - T * U3 * V1) * Ld * U1,
+        Ld * U1 * U3 * V1,
+    )
+    return _checked(
+        CurvePoint(ctx, x3, y3), f"q = {ctx.q}: the sum violates the curve equation"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +349,10 @@ def point_from_components(ctx: FieldCtx, f0: Poly, f1: Poly, f2: Poly) -> CurveP
     det3 = det2 * det
     # -y4 - x4 + t^d over the common denominator det^3*C
     y_num = det3 * (A + _t_pow_d(ctx) * C) + X * (X + (B - C) * det)
-    result = CurvePoint(ctx, RatFunc(X, det2), RatFunc(y_num, det3 * C))
-    if not result.on_curve():
-        raise ContradictionError(f"{where}: trace point violates the curve equation")
-    return result
+    return _checked(
+        CurvePoint(ctx, RatFunc(X, det2), RatFunc(y_num, det3 * C)),
+        f"{where}: trace point violates the curve equation",
+    )
 
 
 def construct_point(ctx: FieldCtx, L: Line) -> CurvePoint:
@@ -347,9 +376,7 @@ def mu_d_translate(ctx: FieldCtx, P: CurvePoint, zeta: FqElem) -> CurvePoint:
         raise ValueError("point over a different field")
     if P.is_infinity:
         return P
-    out = CurvePoint(ctx, P.x.subst_scale(zeta), P.y.subst_scale(zeta))
-    if not out.on_curve():
-        raise ContradictionError(
-            f"q = {ctx.q}, zeta with dlog {zeta.dlog}: translate left the curve"
-        )
-    return out
+    return _checked(
+        CurvePoint(ctx, P.x.subst_scale(zeta), P.y.subst_scale(zeta)),
+        f"q = {ctx.q}, zeta with dlog {zeta.dlog}: translate left the curve",
+    )

@@ -16,7 +16,10 @@ Gerhard, Modern Computer Algebra, 9.1): both the inverse and the quotient
 are kernel products.  The remainder is one kernel product of the low parts.
 
 ``RatFunc`` is a pair of Polys in canonical form: gcd-reduced, with a monic
-denominator.
+denominator.  It is the form of a result, not a field to compute in: its
+constructor takes the one gcd, and only negation and t -> zeta*t, which
+keep the form, act on it.  Computations over F_{q^2}(t), such as the
+group law in ``efield``, run on Poly numerators and denominators.
 """
 
 from __future__ import annotations
@@ -158,10 +161,6 @@ class Poly:
     @classmethod
     def one(cls, ctx: FieldCtx) -> "Poly":
         return cls(ctx, (1,))
-
-    @classmethod
-    def variable(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, (0, 1))
 
     @classmethod
     def from_fp(cls, ctx: FieldCtx, ints) -> "Poly":
@@ -387,8 +386,9 @@ class Poly:
 class RatFunc:
     """Element of F_{q^2}(t) in canonical form: gcd(num, den) = 1, den monic.
 
-    Every arithmetic operation returns the canonical form, so equality is
-    component-wise equality.
+    The form is unique, so equality is component-wise equality.  There is
+    no field arithmetic: callers compute on Poly numerators and denominators
+    and build each result once, which takes the one gcd.
     """
 
     __slots__ = ("ctx", "num", "den")
@@ -415,68 +415,10 @@ class RatFunc:
         out.ctx, out.num, out.den = num.ctx, num, den
         return out
 
-    @classmethod
-    def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p, Poly.one(p.ctx))
-
-    @classmethod
-    def one(cls, ctx: FieldCtx) -> "RatFunc":
-        return cls(Poly.one(ctx), Poly.one(ctx))
-
-    @classmethod
-    def t(cls, ctx: FieldCtx) -> "RatFunc":
-        return cls(Poly.variable(ctx), Poly.one(ctx))
-
-    @classmethod
-    def const(cls, ctx: FieldCtx, e) -> "RatFunc":
-        if isinstance(e, int):
-            e = ctx.from_int(e)
-        return cls(Poly.from_elems(ctx, [e]), Poly.one(ctx))
-
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __bool__(self) -> bool:
-        return not self.num.is_zero
-
-    def _check(self, other):
-        if not isinstance(other, RatFunc) or other.ctx is not self.ctx:
-            raise ValueError("rational functions over different fields")
-
-    # -- field arithmetic ---------------------------------------------------
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        self._check(other)
-        return RatFunc(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+    # -- maps that keep the canonical form ----------------------------------
 
     def __neg__(self) -> "RatFunc":
         return RatFunc._canonical(-self.num, self.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return self + (-other)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        self._check(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def inverse(self) -> "RatFunc":
-        if self.is_zero:
-            raise ZeroDivisionError("inverting zero rational function")
-        return RatFunc(self.den, self.num)
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        self._check(other)
-        return self * other.inverse()
-
-    def __pow__(self, e: int) -> "RatFunc":
-        if e < 0:
-            return self.inverse() ** (-e)
-        return RatFunc(self.num**e, self.den**e)
 
     def subst_scale(self, zeta: FqElem) -> "RatFunc":
         """t -> zeta*t is a ring automorphism of F_{q^2}[t], so it keeps
