@@ -15,18 +15,24 @@ character exponents, as an element of Z[zeta_d]:
 - ``_PlaneSweep`` sweeps the F_q-plane and is the one runtime route.  chi
   is trivial on F_q*, so x in F_q contributes 1 unless a present factor
   vanishes, and every other x is lambda(u + beta) for one lambda in F_q*,
-  u in F_q, with beta = ctx.gen fixed outside F_q.  Pulling lambda = 1/v
-  out of each factor,
+  u in F_q, with beta = g^(d/2).  Pulling lambda = 1/v out of each factor,
 
       S_c = N0 + sum over v in F_q*, u in F_q of
                  zeta_d^(i0 psi(u) + i1 psi(u+v) + i2 psi(u+cv)),
 
   where psi(s) = e(s + beta) and N0 counts the x in F_q at which no present
-  factor vanishes (none vanishes on the plane).  One q x q table of psi
-  covers every c, so a sum costs q^2 - q table lookups and no F_{q^2}
-  addition; the int16 tables hold the tail twice, so each c reads one
-  contiguous slice.  ``sum_S``, ``survey_N``, ``quadratic_identity_check``,
-  ``sum_over_c``, ``mod3_test`` and ``certify`` all use this route.
+  factor vanishes (none vanishes on the plane).  beta lies outside F_q, as
+  beta^2 = g^d is a nonsquare of F_q, and beta^(q-1) = g^(d(q-1)/2) = -1,
+  so beta^q = -beta.  The Frobenius x -> x^q sends every character value
+  to its inverse, as q = -1 mod d, and maps the point (u, v) of the plane
+  to (-u, -v): the two points have exponents e and -e.  So one point of
+  each pair is swept, and the histogram h of the half plane folds to
+  counts[e] = h[e] + h[-e].  One table of psi over u = 0 and half of F_q*,
+  against all of F_q, covers every c, so a sum costs (q^2 - q)/2 table
+  lookups and no F_{q^2} addition; the int16 tables hold the tail twice,
+  so each c reads one contiguous slice.  ``sum_S``, ``survey_N``,
+  ``quadratic_identity_check``, ``sum_over_c``, ``mod3_test`` and
+  ``certify`` all use this route.
   For i != 0 mod d the counts of (i, i, i) are those of (1, 1, 1) pushed
   forward by k -> ik (``_pushforward``): ``sum_S`` reads a w-type tuple
   so from the (1, 1, 1) histogram at c, cached for the last (field, c)
@@ -199,19 +205,23 @@ class _PlaneSweep:
     counts(c) is entrywise equal to
     _sweep_counts(ctx, [(i0, 0), (i1, 1), (i2, c.code)]).  F_q is indexed by
     0 -> 0 and g^(d m) -> m + 1, so multiplying v by c adds dlog(c)/d to the
-    index, cyclically on 1..q-1; and the table
+    index, cyclically on 1..q-1, and negation, -1 = g^(d half) with
+    half = (q - 1)/2, adds half.  The table
 
         P[a, b] = psi(s_a + s_b)    (s_a the element of index a)
 
-    holds every psi value a sweep reads: psi(u) = P[u, 0], psi(u + v) =
-    P[u, v], psi(u + cv) = P[u, idx(cv)].  An instance keeps the head
-    i0 psi(u) + i1 psi(u + v) over v = 1..q-1 and the tail i2 psi(u + cv),
-    both int16 and reduced mod d.  The tail over columns 1..q-1 is stored
-    twice side by side, so the columns of c = g^(d s) are the contiguous
-    slice [s, s + q - 1) of the doubled tail; c = 0 reads column 0.  The
-    tables take 6q^2 bytes (0.71 MB at q = 343, 24 MB at q = 1999); building
-    them takes two transient int32 q x q arrays.  Callers build one per
-    call; nothing is stored on the FieldCtx.
+    over the rows a = 0..half holds every psi value a sweep of the half
+    plane reads: psi(u) = P[u, 0], psi(u + v) = P[u, v], psi(u + cv) =
+    P[u, idx(cv)].  An instance keeps the head i0 psi(u) + i1 psi(u + v)
+    over v = 1..q-1 and the tail i2 psi(u + cv), both int16 and reduced
+    mod d.  The tail over columns 1..q-1 is stored twice side by side, so
+    the columns of c = g^(d s) are the contiguous slice [s, s + q - 1) of
+    the doubled tail; c = 0 reads column 0.  counts(c) bins rows 1..half
+    over every column and row 0 over the v of index 1..half (row 0 pairs
+    v with -v), then folds by the Frobenius (module docstring).  The
+    tables take about 3q^2 bytes (0.35 MB at q = 343, 12 MB at q = 1999);
+    building them takes two transient int32 arrays of (q + 1)/2 x q.
+    Callers build one per call; nothing is stored on the FieldCtx.
     """
 
     def __init__(self, ctx: FieldCtx, i0: int, i1: int, i2: int):
@@ -220,14 +230,15 @@ class _PlaneSweep:
         if 2 * d - 1 >= 2**15:
             raise ValueError(f"d = {d} is too large for the int16 plane tables")
         i0, i1, i2 = i0 % d, i1 % d, i2 % d
+        rows = (q + 1) // 2  # u = 0 and the u of index 1..half
         # codes of F_q in index order, as base-p digits
         codes = np.concatenate(([0], ctx.exp[::d])).astype(np.int32)
         units = p ** np.arange(ctx.deg, dtype=np.int32)
         digits = codes[:, None] // units % p
-        beta = np.array(ctx.decode(ctx.g_code), dtype=np.int32)
-        plane = np.zeros((q, q), dtype=np.int32)  # codes of s_a + s_b + beta
+        beta = np.array(ctx.decode(int(ctx.exp[d // 2])), dtype=np.int32)
+        plane = np.zeros((rows, q), dtype=np.int32)  # codes of s_a + s_b + beta
         for j, unit in enumerate(units):
-            plane += (digits[:, None, j] + digits[None, :, j] + beta[j]) % p * unit
+            plane += (digits[:rows, None, j] + digits[None, :, j] + beta[j]) % p * unit
         P = ctx.dlog[plane]  # int32 gather: dlog values are below q^2 <= 4M
         del plane  # freed before the tables below
         P %= d
@@ -258,8 +269,13 @@ class _PlaneSweep:
         else:
             s = c.dlog // d
             tail = self._tail2[:, s : s + q - 1]
-        tot = np.bincount((self._head + tail).ravel(), minlength=2 * d)
-        counts = tot[:d] + tot[d:]
+        # one cell of each Frobenius pair (u, v), (-u, -v): rows 1..half
+        # over every v, and row 0 over the v of index 1..half
+        half = (q - 1) // 2
+        tot = np.bincount((self._head[1:] + tail[1:]).ravel(), minlength=2 * d)
+        tot += np.bincount(self._head[0, :half] + tail[0, :half], minlength=2 * d)
+        h = tot[:d] + tot[d:]
+        counts = h + np.roll(h[::-1], 1)  # the pair's exponents are e and -e
         zeros = self._zeros
         if self._neg_c is not None:
             zeros = zeros | {self._neg_c(c.code)}

@@ -132,7 +132,7 @@ def test_plane_counts_match_sweep_every_tuple_and_c(p):
             assert sweep.counts(c).tolist() == expected.tolist(), (i0, i1, i2, c.code)
 
 
-@pytest.mark.parametrize("p,k", [(5, 2), (7, 2)])
+@pytest.mark.parametrize("p,k", [(5, 2), (7, 2), (5, 3), (7, 3)])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_plane_counts_match_sweep_sampled(p, k, data):
@@ -141,6 +141,32 @@ def test_plane_counts_match_sweep_sampled(p, k, data):
     i0, i1, i2 = data.draw(st.tuples(*[st.integers(0, ctx.d - 1)] * 3), label="tuple")
     counts = _PlaneSweep(ctx, i0, i1, i2).counts(c)
     assert counts.tolist() == _reference_counts(ctx, c, i0, i1, i2).tolist()
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (5, 2), (5, 3)])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_reference_counts_are_symmetric_under_frobenius(p, k, data):
+    # x -> x^q sends chi(f(x)) to its inverse, as q = -1 mod d: the premise
+    # of the plane's fold, read off the F_{q^2} sweep alone
+    ctx = make_field(p, k)
+    d = ctx.d
+    c = ctx.elem(data.draw(st.sampled_from(ctx.fq_codes()), label="c"))
+    tuples = st.tuples(*[st.integers(0, d - 1)] * 3)
+    i0, i1, i2 = data.draw(st.one_of(st.just((0, 0, 0)), tuples), label="tuple")
+    counts = _reference_counts(ctx, c, i0, i1, i2).tolist()
+    assert counts == [counts[-e % d] for e in range(d)]
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (5, 3)])
+def test_plane_tables_keep_half_the_rows(p, k):
+    # u = 0 and one u of each pair u, -u: (q + 1)/2 rows, about 3q^2 bytes
+    ctx = make_field(p, k)
+    q = ctx.q
+    sweep = _PlaneSweep(ctx, 1, 2, 3)
+    assert sweep._head.shape == ((q + 1) // 2, q - 1)
+    assert sweep._tail2.shape == ((q + 1) // 2, 2 * (q - 1))
+    assert sweep._head.dtype == sweep._tail2.dtype == np.int16
 
 
 @pytest.mark.extended
@@ -268,7 +294,7 @@ def test_plane_counts_at_the_wrap_around_shifts_at_the_size_cap():
     ctx = make_field(1999)
     sweep = _PlaneSweep(ctx, 1, 1, 1)
     assert sweep._head.dtype == sweep._tail2.dtype == np.int16
-    assert sweep._tail2.shape == (ctx.q, 2 * (ctx.q - 1))
+    assert sweep._tail2.shape == ((ctx.q + 1) // 2, 2 * (ctx.q - 1))
     for c in _plane_shift_cases(ctx):
         assert sweep.counts(c).tolist() == _reference_counts(ctx, c, 1, 1, 1).tolist()
 

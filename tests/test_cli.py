@@ -349,11 +349,19 @@ def test_point_json_matches_pin(capsys, args, digest):
 SURVEY_PINS = [
     (("--p", "7", "--k", "3"), "2cadf788fa17f00ccd932a7d6d11613d6210dea9c7058569d92cfe6e85829290"),
     (("--p", "251"), "46d6704f2d042fc54490fc07f065d25bea9212d0b9dc586a72c6f8f577000df2"),
+    # recorded from the sweep of the whole F_q-plane, before the Frobenius fold
+    (("--p", "11", "--k", "3"), "498fda0e277d17784f419dde4b29c4456e674a672a57e76a9787cff1e26373a1"),
+    (
+        ("--p", "1999"),
+        "70e5251508e991e70b083f4e8263ee3d3aa425faead322cde267551d35a5f495",
+        pytest.mark.extended,
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "args,digest", SURVEY_PINS, ids=[" ".join(a) for a, _ in SURVEY_PINS]
+    "args,digest",
+    [pytest.param(a, d, marks=m, id=" ".join(a)) for a, d, *m in SURVEY_PINS],
 )
 def test_survey_json_matches_pin(capsys, args, digest):
     rc, out = run(capsys, "survey", *args, "--order", "4", "--extended", "--format", "json")
