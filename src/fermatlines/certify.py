@@ -27,19 +27,22 @@ the tuple (1, 1, 1) per candidate c tried, pushed forward by k -> ik to
 the counts vectors of (i, i, i, -3i).  The witness scan goes through the
 candidates in order; each reduces the representatives of the orbits still
 open as one batch (``cyc._canon_rows``), and an orbit whose representative
-is not 2q keeps (c, histogram) as its witness.  Then, orbit by orbit, a
-witnessed orbit reduces all its tuples as one batch with that histogram,
-and each sum passes the mod-3 and S != 2q checks before it enters the
-coverage, so the first failing orbit raises, as in a per-tuple scan.  On
-the single line one % 3 over a batch's canon rows gives the mod-3 residues
-of all its sums, in both passes.  The line-count checks follow.  These
-scans keep their own plane and batches; they do not read the histogram
-that ``sum_S`` caches.
+is not 2q takes c as its witness.  Then each witness, in candidate order,
+pushes its histogram forward to the tuples of all the orbits it covers, in
+orbit order, as one batch, reduced _BLOCK_ROWS tuples at a time, and the
+rows are sliced back per orbit.  Orbit by orbit, each sum then passes the
+mod-3 and S != 2q checks before it enters the coverage, so the first
+failing orbit raises, as in a per-tuple scan.  On the single line one % 3
+over an orbit's canon rows gives the mod-3 residues of all its sums, in
+both passes.  The line-count checks follow.  These scans keep their own
+plane and batches; they do not read the histogram that ``sum_S`` caches.
 
-A ``Certificate`` keeps, per witnessed orbit, its witness c and the canon
-rows of its batch.  ``to_json_dict`` writes the coverage from them with no
-ExponentTuple, CycElt or CoverageEntry per tuple, and every output format
-of the command line renders those JSON rows; ``uncovered`` reads the
+A ``Certificate`` keeps, per witnessed orbit, its witness c and the int64
+matrix of its canon rows.  ``to_json`` writes the command line's JSON text
+from the matrices, with one decimal string per value in the rows' range
+gathered by the rows; ``to_json_dict`` converts them row by row to lists
+of ints, and the csv and pretty output render those.  Neither builds an
+ExponentTuple, CycElt or CoverageEntry per tuple.  ``uncovered`` reads the
 uncovered indices from the groups.  ``coverage`` is a decoded view of the
 same rows (tuple -> CoverageEntry), built once on first access for the
 tests and the benchmark's tracer.
@@ -48,11 +51,12 @@ tests and the benchmark's tracer.
 Galois transfer, computing every sum by the F_{q^2} sweep
 ``_sweep_counts``; it is the brute-force oracle the tests compare against,
 shares no sum route with ``certify``, and records each covered tuple as a
-witnessed group of its own.
+witnessed group of its own, a one-row int64 matrix.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -60,6 +64,7 @@ from math import gcd
 import numpy as np
 
 from .charsum import (
+    _BLOCK_ROWS,
     ExponentTuple,
     _PlaneSweep,
     _pushforward,
@@ -121,10 +126,11 @@ class Certificate:
     """A certificate at d = q + 1, kept as its witnessed groups.
 
     Each group of ``witnessed`` is (indices, c, rows): the indices i of the
-    tuples (i, i, i, -3i) that witness c covers, and the canon rows of S_c
-    on them, in the same order.  Every other nontrivial tuple is uncovered.
-    ``to_json_dict`` writes the coverage rows straight from the groups, and
-    the csv and pretty output render those rows.
+    tuples (i, i, i, -3i) that witness c covers, and the int64 matrix of
+    the canon rows of S_c on them, in the same order.  Every other
+    nontrivial tuple is uncovered.  ``to_json`` writes the command line's
+    JSON text straight from the matrices; ``to_json_dict`` converts them
+    row by row to lists of ints, which the csv and pretty output render.
     """
 
     def __init__(self, q: int, verdict: str, lines_used: int, orbits, witnessed):
@@ -142,8 +148,22 @@ class Certificate:
         return sorted(i for orbit in self.galois_orbits for i in orbit if i not in covered)
 
     def _found(self) -> dict:
-        """i -> (c, canon row of S_c) for each nontrivial tuple with a witness."""
-        return {i: (c, row) for indices, c, rows in self.witnessed for i, row in zip(indices, rows)}
+        """i -> (c, canon row of S_c as a list of ints) for each nontrivial
+        tuple with a witness."""
+        return {
+            i: (c, row.tolist())
+            for indices, c, rows in self.witnessed
+            for i, row in zip(indices, rows)
+        }
+
+    def _scalars(self) -> dict:
+        return {
+            "q": self.q,
+            "expected_rank": self.expected_rank,
+            "verdict": self.verdict,
+            "lines_used": self.lines_used,
+            "orbits": self.galois_orbits,
+        }
 
     def to_json_dict(self) -> dict:
         d = self.q + 1
@@ -163,14 +183,32 @@ class Certificate:
                         "nonzero": row is not None,
                     }
                 )
-        return {
-            "q": self.q,
-            "expected_rank": self.expected_rank,
-            "verdict": self.verdict,
-            "lines_used": self.lines_used,
-            "coverage": coverage,
-            "orbits": self.galois_orbits,
-        }
+        return {**self._scalars(), "coverage": coverage}
+
+    def to_json(self, schema: int) -> str:
+        """The text of ``json.dumps({"schema": schema, **to_json_dict()},
+        sort_keys=True, separators=(",", ":"))`` and a newline, written from
+        the matrices: one decimal string per value in the rows' range,
+        gathered by the rows and joined per row.  "coverage" sorts first,
+        and the other fields go through json.dumps."""
+        d = self.q + 1
+        lo = min((int(rows.min()) for _, _, rows in self.witnessed), default=0)
+        hi = max((int(rows.max()) for _, _, rows in self.witnessed), default=0)
+        decimal = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
+        head = {}  # i -> its coverage entry up to the tuple
+        for indices, c, rows in self.witnessed:
+            tail = f'],"c":{c.dlog},"nonzero":true,"tuple":'
+            for i, texts in zip(indices, decimal[rows - lo].tolist()):
+                head[i] = '{"S_canon":[' + ",".join(texts) + tail
+        coverage = ['{"S_canon":null,"c":null,"nonzero":true,"tuple":[0,0,0,0]}']
+        for i in range(1, d):
+            if 3 * i % d:
+                entry = head.get(i, '{"S_canon":null,"c":null,"nonzero":false,"tuple":')
+                coverage.append(f"{entry}[{i},{i},{i},{-3 * i % d}]}}")
+        rest = json.dumps(
+            {"schema": schema, **self._scalars()}, sort_keys=True, separators=(",", ":")
+        )
+        return '{"coverage":[' + ",".join(coverage) + "]," + rest[1:] + "\n"
 
     @cached_property
     def coverage(self) -> dict[ExponentTuple, CoverageEntry]:
@@ -246,8 +284,8 @@ def certify(ctx: FieldCtx) -> Certificate:
     # pass 1, the witness scan: each candidate c sweeps one histogram of
     # (1, 1, 1) and reduces the representatives of the open orbits as one
     # batch.  No member batch is reduced yet, so no sweep's temporaries
-    # meet the coverage integers
-    witness = {}  # orbit position -> (c, its histogram)
+    # meet the coverage rows
+    groups = []  # (c, its histogram, the orbit positions it witnesses)
     pending = list(range(len(orbits)))
     for c in candidates:
         if not pending:
@@ -258,16 +296,34 @@ def certify(ctx: FieldCtx) -> Certificate:
         if single_line:
             _check_mod_3(q, c, reps, canon)
         is_two_q = _is_two_q(q, canon).tolist()
-        witness.update((k, (c, hist)) for k, hit in zip(pending, is_two_q) if not hit)
+        if not all(is_two_q):
+            groups.append((c, hist, [k for k, hit in zip(pending, is_two_q) if not hit]))
         pending = [k for k, hit in zip(pending, is_two_q) if hit]
+    del plane  # the witnesses keep their histograms; the tables go
 
-    # pass 2, in orbit order: a witnessed orbit reduces all its tuples,
-    # representative first, as one batch with its witness's histogram, and
-    # keeps the canon rows
+    # pass 2, per witness in candidate order: all the tuples of its orbits,
+    # in orbit order, are one batch, reduced _BLOCK_ROWS tuples at a time;
+    # the rows are then sliced back per orbit
+    found = {}  # orbit position -> (c, the canon rows of its tuples)
+    for c, hist, ks in groups:
+        idx = [i for k in ks for i in orbits[k]]
+        canon = np.concatenate(
+            [
+                _canon_rows(d, _pushforward(hist, idx[s : s + _BLOCK_ROWS]))
+                for s in range(0, len(idx), _BLOCK_ROWS)
+            ]
+        )
+        start = 0
+        for k in ks:
+            found[k] = (c, canon[start : start + len(orbits[k])])
+            start += len(orbits[k])
+
+    # the checks, orbit by orbit in orbit order, so the first failing orbit
+    # raises as in a per-tuple scan
     witnessed = []
     for k, orbit in enumerate(orbits):
         rep = _entries(d, orbit[0])
-        if k not in witness:
+        if k not in found:
             if q % 12 != 11:
                 raise ContradictionError(
                     f"no witness at q={q} for tuple {rep}: expected S != 2q for"
@@ -275,8 +331,7 @@ def certify(ctx: FieldCtx) -> Certificate:
                     " for each"
                 )
             continue
-        c, hist = witness[k]
-        canon = _canon_rows(d, _pushforward(hist, orbit))
+        c, canon = found[k]
         if single_line:
             _check_mod_3(q, c, orbit, canon)
         # S_c(u*t) = sigma_u(S_c(t)), and sigma_u fixes 2q
@@ -287,7 +342,7 @@ def certify(ctx: FieldCtx) -> Certificate:
                 f" {_entries(d, orbit[int(hit.argmax())])}, c={c.dlog}:"
                 f" expected S != 2q as for {rep}, got S = 2q = {2 * q}"
             )
-        witnessed.append((orbit, c, canon.tolist()))
+        witnessed.append((orbit, c, canon))
     cert = _certificate(ctx, witnessed, orbits)
     if single_line and cert.lines_used != 1:
         raise ContradictionError(
@@ -315,6 +370,6 @@ def certify_general(ctx: FieldCtx) -> Certificate:
         for c in admissible:
             s = CycElt(d, _sweep_counts(ctx, [(i, 0), (i, 1), (i, c.code)]).tolist())
             if s != two_q:
-                witnessed.append(([i], c, [list(s.canon)]))
+                witnessed.append(([i], c, np.array([s.canon], dtype=np.int64)))
                 break
     return _certificate(ctx, witnessed, orbits)

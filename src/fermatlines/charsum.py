@@ -289,14 +289,18 @@ def _pushforward(counts: np.ndarray, idx) -> np.ndarray:
     For i != 0 mod d this turns the counts vector of (1, 1, 1) into that of
     (i, i, i): every exponent scales by i and the vanishing set is the same.
     It is an exact recomputation, valid for non-units i too.  idx is an
-    index array, giving one row per index from a single np.add.at, or one
-    integer, giving one vector.
+    index array, giving one row per index, or one integer, giving one
+    vector.  Count k of row r goes to bin r*d + (i*k mod d) of one flat
+    vector, so a single 1-D np.add.at of the counts, repeated once per row,
+    fills every row.
     """
     d = len(counts)
     idx = np.asarray(idx, dtype=np.int64)
-    targets = idx.reshape(-1, 1) * np.arange(d) % d
-    out = np.zeros(targets.shape, dtype=np.int64)
-    np.add.at(out, (np.arange(len(targets))[:, None], targets), counts)
+    targets = idx.reshape(-1, 1) % d * np.arange(d)
+    targets %= d
+    targets += np.arange(0, targets.size, d).reshape(-1, 1)
+    out = np.zeros(targets.size, dtype=np.int64)
+    np.add.at(out, targets.ravel(), np.repeat(counts[None], len(targets), axis=0).ravel())
     return out.reshape(idx.shape + (d,))
 
 

@@ -278,10 +278,11 @@ def cmd_point(ctx: FieldCtx, args) -> int:
 def cmd_certify(ctx: FieldCtx, args) -> int:
     _require_extended(args, "certification", ctx.q)
     cert = certify(ctx)
-    doc = cert.to_json_dict()
     if args.format == "json":
-        _emit_json(doc)
-    elif args.format == "csv":
+        sys.stdout.write(cert.to_json(SCHEMA))
+        return 0
+    doc = cert.to_json_dict()
+    if args.format == "csv":
         canons = [e["S_canon"] or [] for e in doc["coverage"]]
         width = max(map(len, canons))
         header = ["i0", "i1", "i2", "i3", "c", "nonzero"] + [f"S_{j}" for j in range(width)]

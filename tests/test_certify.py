@@ -331,11 +331,13 @@ def test_certify_sweeps_once_per_candidate_tried(monkeypatch, q):
     assert histograms == admissible[:tried]
 
 
-@pytest.mark.parametrize("q", [11, 13, 17, 19])
-def test_certify_reduces_each_witnessed_orbit_once(monkeypatch, q):
+@pytest.mark.parametrize("q", [11, 13, 17, 19, 499])
+def test_certify_reduces_one_batch_per_witness_in_blocks(monkeypatch, q):
     # the witness scan reduces the open representatives once per candidate
-    # tried; then each witnessed orbit, representative first, is reduced as
-    # one batch with its witness, in orbit order
+    # tried; then each witness, in candidate order, reduces the tuples of
+    # all its orbits, in orbit order, as one batch cut into blocks of
+    # _BLOCK_ROWS tuples.  At q = 499 the single line covers 499 tuples,
+    # which take two blocks
     F = field(q)
     orbits = galois_orbits(F.d)
     if q % 12 == 7:
@@ -350,7 +352,13 @@ def test_certify_reduces_each_witnessed_orbit_once(monkeypatch, q):
     expected = [
         [o[0] for o, last in zip(orbits, open_at) if last >= n]
         for n in range(min(max(open_at) + 1, len(candidates)))
-    ] + [o for o, j in zip(orbits, found) if j is not None]
+    ]
+    block = charsum_mod._BLOCK_ROWS
+    for n in range(len(candidates)):
+        batch = [i for o, j in zip(orbits, found) if j == n for i in o]
+        expected += [batch[s : s + block] for s in range(0, len(batch), block)]
+    if q == 499:
+        assert [len(b) for b in expected] == [len(orbits), block, 499 - block]
     batches = []
     pushforward = certify_mod._pushforward
 
@@ -549,6 +557,50 @@ def test_decoded_coverage_matches_an_entry_by_entry_rebuild(q):
     assert cert.coverage == rebuilt
     assert cert.coverage is cert.coverage  # built once
     assert cert.uncovered == [t.i0 for t, e in cert.coverage.items() if not e.nonzero]
+
+
+def _dumped(cert):
+    # the json.dumps route the command line took before to_json
+    doc = {"schema": 1, **cert.to_json_dict()}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# every prime power 5 <= q <= 199 of characteristic at least 5: the fields
+# of the benchmark's certify jobs
+SCAN_FIELDS = [q for q in range(5, 200) if prime_power(q) and prime_power(q)[0] >= 5]
+
+
+@pytest.mark.parametrize("q", SCAN_FIELDS)
+def test_json_text_matches_json_dumps(q):
+    assert len(SCAN_FIELDS) == 49
+    F = field(*prime_power(q))
+    certs = [certify(F)] + ([certify_general(F)] if q <= 31 else [])
+    for cert in certs:
+        text, dumped = cert.to_json(1), _dumped(cert)
+        # compared as the lengths and a window around the first difference,
+        # so that a failure reports in moments, not in a diff of ~1 MB
+        cut = next((k for k, (a, b) in enumerate(zip(text, dumped)) if a != b), len(text))
+        window = slice(max(cut - 40, 0), cut + 40)
+        assert (len(text), text[window]) == (len(dumped), dumped[window])
+    if q == 11:
+        assert certs[0].verdict == NOT_CERTIFIED
+
+
+@pytest.mark.parametrize("q", [7, 11, 13, 25, 31])
+def test_rows_are_int64_and_decode_to_python_ints(q):
+    # certify and certify_general keep one int64 matrix per group; the JSON
+    # rows and the decoded coverage hold Python ints, as the csv output and
+    # the tracer read them
+    F = field(*prime_power(q))
+    for cert in (certify(F), certify_general(F)):
+        assert cert.witnessed
+        for indices, _, rows in cert.witnessed:
+            assert isinstance(rows, np.ndarray) and rows.dtype == np.int64
+            assert rows.shape[0] == len(indices)
+        row = next(e["S_canon"] for e in cert.to_json_dict()["coverage"] if e["S_canon"])
+        assert {type(v) for v in row} == {int}
+        entry = next(e for e in cert.coverage.values() if e.s_value is not None)
+        assert {type(v) for v in entry.s_value.canon} == {int}
 
 
 @pytest.mark.parametrize(

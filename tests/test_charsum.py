@@ -213,6 +213,28 @@ def test_pushforward_index_array_matches_scalar_loop(p):
     assert _pushforward(hist, []).shape == (0, d)
 
 
+@pytest.mark.parametrize("p,k", [(5, 1), (11, 1), (5, 2)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pushforward_scatter_matches_scalar_loop(p, k, data):
+    # the 1-D scatter against the per-index loop, on a plane histogram at a
+    # drawn c: an index list with 0, repeats, indices past d and non-units,
+    # a single integer, or an empty list
+    ctx = make_field(p, k)
+    d = ctx.d
+    c = ctx.elem(data.draw(st.sampled_from(ctx.fq_codes()), label="c"))
+    hist = _PlaneSweep(ctx, 1, 1, 1).counts(c)
+    index = st.one_of(st.sampled_from([0, d, d // 2, 2, 3]), st.integers(0, 3 * d))
+    idx = data.draw(st.one_of(index, st.lists(index, max_size=12)), label="idx")
+    rows = _pushforward(hist, idx)
+    assert rows.dtype == np.int64
+    if isinstance(idx, int):
+        assert rows.tolist() == _pushforward_loop(hist.tolist(), idx)
+    else:
+        assert rows.shape == (len(idx), d)
+        assert rows.tolist() == [_pushforward_loop(hist.tolist(), i) for i in idx]
+
+
 @pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2)])
 def test_sum_S_w_type_route_matches_sweep(p, k):
     # every w-type tuple (i, i, i, -3i), gcd(i, d) > 1 and 3i = 0 mod d
