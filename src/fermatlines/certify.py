@@ -30,11 +30,12 @@ open as one batch (``cyc._canon_rows``), and an orbit whose representative
 is not 2q takes c as its witness.  Then each witness, in candidate order,
 pushes its histogram forward to the tuples of all the orbits it covers, in
 orbit order, as one batch, reduced _BLOCK_ROWS tuples at a time, and the
-rows are sliced back per orbit.  Orbit by orbit, each sum then passes the
-mod-3 and S != 2q checks before it enters the coverage, so the first
-failing orbit raises, as in a per-tuple scan.  On the single line one % 3
-over an orbit's canon rows gives the mod-3 residues of all its sums, in
-both passes.  The line-count checks follow.  These scans keep their own
+rows are sliced back per orbit, with their mod-3 and S = 2q flags, each
+computed once per batch.  Orbit by orbit, each sum then passes the mod-3
+and S != 2q checks before it enters the coverage, so the first failing
+orbit raises, as in a per-tuple scan.  On the single line one % 3 over a
+batch's canon rows gives the mod-3 residues of all its sums, in both
+passes.  The line-count checks follow.  These scans keep their own
 plane and batches; they do not read the histogram that ``sum_S`` caches.
 
 A ``Certificate`` keeps, per witnessed orbit, its witness c and the int64
@@ -256,15 +257,17 @@ def _one_mod_3(canon: np.ndarray) -> list[bool]:
     return ((residue[:, 0] == 1) & (residue[:, 1:] == 0).all(axis=1)).tolist()
 
 
-def _check_mod_3(q: int, c: FqElem, indices: list[int], canon: np.ndarray) -> None:
+def _check_mod_3(
+    q: int, c: FqElem, indices: list[int], canon: np.ndarray, one_mod_3: list[bool]
+) -> None:
     """Raise at the first canon row (S at c of (i, i, i, -3i), i in indices)
-    not 1 mod 3."""
-    for i, row, one_mod_3 in zip(indices, canon, _one_mod_3(canon)):
-        if not one_mod_3:
-            raise ContradictionError(
-                f"mod-3 obstruction failed at q={q} for tuple {_entries(q + 1, i)},"
-                f" c={c.dlog}: expected S = 1 mod 3, got S = {row.tolist()}"
-            )
+    whose flag in one_mod_3 (``_one_mod_3`` of the rows) is False."""
+    if not all(one_mod_3):
+        j = one_mod_3.index(False)
+        raise ContradictionError(
+            f"mod-3 obstruction failed at q={q} for tuple {_entries(q + 1, indices[j])},"
+            f" c={c.dlog}: expected S = 1 mod 3, got S = {canon[j].tolist()}"
+        )
 
 
 def certify(ctx: FieldCtx) -> Certificate:
@@ -294,7 +297,7 @@ def certify(ctx: FieldCtx) -> Certificate:
         reps = [orbits[k][0] for k in pending]
         canon = _canon_rows(d, _pushforward(hist, reps))
         if single_line:
-            _check_mod_3(q, c, reps, canon)
+            _check_mod_3(q, c, reps, canon, _one_mod_3(canon))
         is_two_q = _is_two_q(q, canon).tolist()
         if not all(is_two_q):
             groups.append((c, hist, [k for k, hit in zip(pending, is_two_q) if not hit]))
@@ -303,8 +306,9 @@ def certify(ctx: FieldCtx) -> Certificate:
 
     # pass 2, per witness in candidate order: all the tuples of its orbits,
     # in orbit order, are one batch, reduced _BLOCK_ROWS tuples at a time;
-    # the rows are then sliced back per orbit
-    found = {}  # orbit position -> (c, the canon rows of its tuples)
+    # the rows and their mod-3 and 2q flags, each taken once per batch, are
+    # then sliced back per orbit
+    found = {}  # orbit position -> (c, its canon rows, their mod-3 and 2q flags)
     for c, hist, ks in groups:
         idx = [i for k in ks for i in orbits[k]]
         canon = np.concatenate(
@@ -313,10 +317,13 @@ def certify(ctx: FieldCtx) -> Certificate:
                 for s in range(0, len(idx), _BLOCK_ROWS)
             ]
         )
+        one_mod_3 = _one_mod_3(canon) if single_line else []
+        two_q = _is_two_q(q, canon)
         start = 0
         for k in ks:
-            found[k] = (c, canon[start : start + len(orbits[k])])
-            start += len(orbits[k])
+            end = start + len(orbits[k])
+            found[k] = (c, canon[start:end], one_mod_3[start:end], two_q[start:end])
+            start = end
 
     # the checks, orbit by orbit in orbit order, so the first failing orbit
     # raises as in a per-tuple scan
@@ -331,11 +338,10 @@ def certify(ctx: FieldCtx) -> Certificate:
                     " for each"
                 )
             continue
-        c, canon = found[k]
+        c, canon, one_mod_3, hit = found[k]
         if single_line:
-            _check_mod_3(q, c, orbit, canon)
+            _check_mod_3(q, c, orbit, canon, one_mod_3)
         # S_c(u*t) = sigma_u(S_c(t)), and sigma_u fixes 2q
-        hit = _is_two_q(q, canon)
         if hit.any():
             raise ContradictionError(
                 f"Galois transfer failed at q={q} for tuple"

@@ -1,19 +1,21 @@
 """Dense polynomials F_{q^2}[t] and canonical rational functions F_{q^2}(t).
 
-A ``Poly`` keeps its coefficients as the n x 2k int64 array of their base-p
-digits, low degree first, with no trailing zero rows: the layout that the
-Kronecker kernel ``_kron`` reads and writes, so no operation converts codes
-to digits.  A sum or difference is one padded numpy sum reduced mod p, a
-constant multiple is one product with the 2k x 2k matrix over F_p of
+A ``Poly`` is the n x 2k int64 array of the base-p digits of its
+coefficients, low degree first, with no trailing zero rows: the layout that
+the Kronecker kernel ``_kron`` reads and writes, so no operation converts
+codes to digits.  A sum or difference is one padded numpy sum reduced mod p,
+a constant multiple is one product with the 2k x 2k matrix over F_p of
 multiplication by the constant, and a product of two polynomials is one
 big-int product (Kronecker substitution; Harvey, J. Symb. Comp. 2009).
-The integer codes, which comparison, hashing and rendering read, are
-derived from the digits once per polynomial.
+Comparison and hashing read the digit bytes; the integer codes are derived
+on demand, for rendering and the scalar walks.
 
-Division takes a short quotient top down, one coefficient at a time, and a
-long one from a Newton inverse of the reversed divisor (von zur Gathen and
-Gerhard, Modern Computer Algebra, 9.1): both the inverse and the quotient
-are kernel products.  The remainder is one kernel product of the low parts.
+Division takes a short quotient and its remainder together, top down on the
+digit rows: each step is one scalar product for the coefficient and one
+constant multiple of the divisor (von zur Gathen and Gerhard, Modern
+Computer Algebra, 2.4).  A long quotient comes from a Newton inverse of the
+reversed divisor (ibid., 9.1): both the inverse and the quotient are kernel
+products, and the remainder is one more, of the low parts.
 
 ``RatFunc`` is a pair of Polys in canonical form: gcd-reduced, with a monic
 denominator.  It is the form of a result, not a field to compute in: its
@@ -33,12 +35,14 @@ from .gf import FieldCtx, FqElem
 __all__ = ["Poly", "RatFunc"]
 
 # Quotients with dq = deg(a) - deg(b) below this are taken top down.  Timed
-# one divmod at a time at q = 7, 139 and 1999 with db = 8, 64 and 512 (one
-# core, best of 3 x 20 calls), the loop took 42-66 us at dq = 1, where a
-# Newton quotient took 91-121 us, and the two met near dq = 12 (213-518 us
-# against 229-473 us); at dq = 16 the loop took 277-743 us and Newton
-# 214-565 us.  Euclid's many dq = 1 steps keep the loop.
-_NEWTON_DQ = 16
+# one divmod at a time (one core, best of 3 x 20 calls) at q = 7 with
+# db = 8, q = 139 with db = 64 and q = 1999 with db = 512, the loop took
+# 16-33 us at dq = 1, where a Newton quotient took 41-86 us, and 84-169 us
+# at dq = 16 against 112-259 us.  At dq = 24 the two met at q = 7 (119
+# against 116 us) and, with db = 8, at q = 1999 (228 against 225 us); at
+# q = 139 and 1999 with db = 64 and 512 the loop still won at dq = 28.
+# Euclid's many dq = 1 steps keep the loop.
+_NEWTON_DQ = 24
 
 
 # ---------------------------------------------------------------------------
@@ -130,26 +134,23 @@ def _reciprocal(ctx: FieldCtx, rev: np.ndarray, n: int) -> np.ndarray:
 
 class Poly:
     """Dense polynomial over F_{q^2}: ``rows`` holds the base-p digits of the
-    coefficients, low degree first, and ``codes`` their integer codes.
+    coefficients, low degree first, as int64, so that equal polynomials have
+    equal bytes.
 
     Invariant: no trailing zero rows; the zero polynomial has no rows.
     """
 
-    __slots__ = ("ctx", "rows", "_codes")
+    __slots__ = ("ctx", "rows")
 
     def __init__(self, ctx: FieldCtx, codes):
-        codes = list(codes)
-        while codes and codes[-1] == 0:
-            codes.pop()
         self.ctx = ctx
-        self.rows = ctx.digit_rows(codes)
-        self._codes = tuple(codes)
+        self.rows = _strip(ctx.digit_rows(list(codes)))
 
     @classmethod
     def _of(cls, ctx: FieldCtx, rows: np.ndarray) -> "Poly":
-        """Wrap a digit array that has no trailing zero rows."""
+        """Wrap an int64 digit array that has no trailing zero rows."""
         out = object.__new__(cls)
-        out.ctx, out.rows, out._codes = ctx, rows, None
+        out.ctx, out.rows = ctx, rows
         return out
 
     # -- constructors -------------------------------------------------------
@@ -180,9 +181,9 @@ class Poly:
 
     @property
     def codes(self) -> tuple:
-        if self._codes is None:
-            self._codes = tuple(self.ctx.row_codes(self.rows))
-        return self._codes
+        """The integer codes of the coefficients, derived from the digits on
+        each call: a view for rendering and the scalar walks."""
+        return tuple(self.ctx.row_codes(self.rows))
 
     @property
     def degree(self) -> int:
@@ -262,50 +263,53 @@ class Poly:
                 result = result * self
         return result
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        """The quotient.  One with dq < _NEWTON_DQ is taken top down:
-        coefficient i is (a[i + db] - sum_j quot[i + db - j] * b[j]) / lead(b),
-        a sum over the min(db, dq - i) coefficients of b below the lead that
-        reach it.  A longer one is rev(a) * rev(b)^{-1} mod t^{dq+1},
-        reversed, with rev the coefficients in reverse order."""
+    def _divide(self, other: "Poly"):
+        """Quotient and remainder, with the remainder None for a Newton
+        quotient.  One with dq < _NEWTON_DQ is taken top down on the digit
+        rows: each step reduces the top row of the running remainder mod p,
+        takes the coefficient as its code times lead(b)^{-1}, and subtracts
+        that multiple of b's low rows from the rows below it.  Those rows
+        stay unreduced, each step adding at most 2k (p - 1)^2, far inside
+        int64 for dq < _NEWTON_DQ.  A longer one is rev(a) * rev(b)^{-1}
+        mod t^{dq+1}, reversed, with rev the coefficients in reverse order."""
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         ctx, a, b = self.ctx, self.rows, other.rows
         db, dq = len(b) - 1, len(a) - len(b)
         if dq < 0:
-            return Poly.zero(ctx)
-        if dq < _NEWTON_DQ:
-            return Poly._of(ctx, -ctx.digit_rows(self._negated_quotient(other, dq)) % ctx.p)
-        inv = _reciprocal(ctx, b[::-1], dq + 1)
-        return Poly._of(ctx, _kron(ctx, a[db:][::-1], inv)[dq::-1])
+            return Poly.zero(ctx), self
+        if dq >= _NEWTON_DQ:
+            inv = _reciprocal(ctx, b[::-1], dq + 1)
+            return Poly._of(ctx, _kron(ctx, a[db:][::-1], inv)[dq::-1]), None
+        inv_lead = ctx.elem(other.lead_code).inverse().code
+        rem = a.copy()
+        quot = np.zeros((dq + 1, ctx.deg), np.int64)
+        for i in range(dq, -1, -1):
+            rem[i + db] %= ctx.p
+            coeff = ctx.mul_codes(ctx.row_codes(rem[i + db : i + db + 1])[0], inv_lead)
+            if coeff:
+                matrix = _mul_matrix(ctx, coeff)
+                quot[i] = matrix[0]  # the digits of coeff * w^0
+                rem[i : i + db] -= b[:db] @ matrix
+        return Poly._of(ctx, quot), Poly._of(ctx, _strip(rem[:db] % ctx.p))
+
+    def __floordiv__(self, other: "Poly") -> "Poly":
+        """The quotient of ``divmod``; a Newton quotient comes without the
+        remainder product."""
+        return self._divide(other)[0]
 
     def divmod(self, other: "Poly"):
-        """Quotient (``//``) and remainder.  The remainder is the low db
-        coefficients of a - quot*b, one kernel product of the low parts."""
-        quot = self // other
-        ctx, a, b = self.ctx, self.rows, other.rows
-        db = len(b) - 1
-        if quot.is_zero:  # deg a < deg b
-            return quot, self
-        if db == 0:
-            return quot, Poly.zero(ctx)
-        rem = a[:db] - _kron(ctx, quot.rows[:db], b[:db])[:db]
-        return quot, Poly._of(ctx, _strip(rem % ctx.p))
-
-    def _negated_quotient(self, other: "Poly", dq: int) -> list:
-        """The codes of -(self // other), top down with the scalar field ops."""
-        a, b = self.codes, other.codes
-        db = len(b) - 1
-        add, mul, neg = self.ctx.add_codes, self.ctx.mul_codes, self.ctx.neg_code
-        minus_inv_lead = neg(self.ctx.elem(b[-1]).inverse().code)
-        nq = [0] * (dq + 1)  # the remainder is a + nq*b
-        for i in range(dq, -1, -1):
-            c = a[i + db]
-            for j in range(max(0, i + db - dq), db):
-                c = add(c, mul(nq[i + db - j], b[j]))
-            nq[i] = mul(c, minus_inv_lead)
-        return nq
+        """Quotient and remainder.  Below the crossover both come from the
+        one top-down loop, with no kernel product; after a Newton quotient
+        the remainder is the low db coefficients of a - quot*b, one kernel
+        product of the low parts."""
+        quot, rem = self._divide(other)
+        if rem is None:
+            ctx, db, b = self.ctx, other.degree, other.rows
+            low = self.rows[:db] - _kron(ctx, quot.rows[:db], b[:db])[:db] if db else b[:0]
+            rem = Poly._of(ctx, _strip(low % ctx.p))
+        return quot, rem
 
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
@@ -343,14 +347,10 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return (
-            self.ctx.p == other.ctx.p
-            and self.ctx.k == other.ctx.k
-            and self.codes == other.codes
-        )
+        return (self.ctx.q, self.rows.tobytes()) == (other.ctx.q, other.rows.tobytes())
 
     def __hash__(self):
-        return hash((self.ctx.p, self.ctx.k, self.codes))
+        return hash((self.ctx.q, self.rows.tobytes()))
 
     def to_coeff_vectors(self):
         """JSON form: one coordinate vector mod p per coefficient."""
@@ -360,10 +360,10 @@ class Poly:
         """Human-readable form, prime-field coefficients rendered as signed
         representatives in [-(p-1)/2, (p-1)/2], highest degree first."""
         out = ""
-        for i in range(self.degree, -1, -1):
-            digits = self.ctx.decode(self.codes[i])
+        for i, code in reversed(list(enumerate(self.codes))):
+            digits = self.ctx.decode(code)
             if any(digits[1:]):
-                sign, body = "+", f"({self.ctx.elem(self.codes[i])})"
+                sign, body = "+", f"({self.ctx.elem(code)})"
             elif digits[0]:
                 mag = min(digits[0], self.ctx.p - digits[0])
                 sign = "+" if mag == digits[0] else "-"

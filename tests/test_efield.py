@@ -255,12 +255,15 @@ def test_divmod_at_the_newton_crossover(p, k, db, dq, low_zeros):
     assert (a * b).divmod(b) == (a, Poly.zero(ctx))
 
 
-@pytest.mark.parametrize("dq", [0, poly._NEWTON_DQ - 1, poly._NEWTON_DQ, 40])
-def test_floordiv_is_the_quotient_without_the_remainder_product(monkeypatch, dq):
-    """a // b is divmod's quotient.  It makes no remainder product: one
-    kernel product fewer than divmod, and none at all below the Newton
-    crossover.  RatFunc divides by the gcd with it: its only divmod calls
-    are the gcd's."""
+@pytest.mark.parametrize(
+    "dq", [0, poly._NEWTON_DQ - 1, poly._NEWTON_DQ, 40], ids=["0", "below", "at", "40"]
+)
+def test_division_kernel_products_on_each_side_of_the_crossover(monkeypatch, dq):
+    """Below the Newton crossover neither // nor divmod makes a kernel
+    product: the top-down loop gives the quotient and the remainder on the
+    digit rows.  At or above it divmod makes exactly one kernel product more
+    than //, the remainder's.  RatFunc divides by the gcd with //: its only
+    divmod calls are the gcd's."""
     ctx = make_field(7)
     rng = random.Random(dq)
     a, b = dividend_and_divisor(ctx, rng, dq, 9, 0)
@@ -269,11 +272,13 @@ def test_floordiv_is_the_quotient_without_the_remainder_product(monkeypatch, dq)
     monkeypatch.setattr(poly, "_kron", lambda *args: products.append(1) or kron(*args))
     quot = a // b
     quotient_products = len(products)
-    assert quot == schoolbook_divmod(a, b)[0]
     products.clear()
     assert a.divmod(b) == schoolbook_divmod(a, b)
-    assert len(products) == quotient_products + 1
-    assert quotient_products == (0 if dq < poly._NEWTON_DQ else len(products) - 1)
+    assert quot == schoolbook_divmod(a, b)[0]
+    if dq < poly._NEWTON_DQ:
+        assert quotient_products == len(products) == 0
+    else:
+        assert quotient_products > 0 and len(products) == quotient_products + 1
     assert Poly.one(ctx) // b == Poly.zero(ctx) and a // Poly.one(ctx) == a
     with pytest.raises(ZeroDivisionError):
         a // Poly.zero(ctx)
@@ -287,6 +292,53 @@ def test_floordiv_is_the_quotient_without_the_remainder_product(monkeypatch, dq)
     gcd_divmods, divmods[:] = len(divmods), []
     assert RatFunc(num, den) == expected
     assert len(divmods) == gcd_divmods
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (5, 2)], ids=["7", "25"])
+@pytest.mark.parametrize("db", [0, 1, 6])
+@pytest.mark.parametrize(
+    "quot", [[1, 0, 0, 0, 0, 1], [0, 0, 2, 0, 0, 0, 0, 0, 0, 5], [4]], ids=["t5+1", "gaps", "const"]
+)
+def test_short_divmod_skips_zero_quotient_coefficients(p, k, db, quot):
+    """Quotients whose middle coefficients are zero, so that the top-down
+    loop meets steps with a zero coefficient, over a prime field and over
+    F_{5^2}, with a constant divisor among the divisors."""
+    ctx = make_field(p, k)
+    rng = random.Random(100 * p + db)
+    n = ctx.q * ctx.q
+    b = Poly(ctx, [rng.randrange(n) for _ in range(db)] + [rng.randrange(1, n)])
+    Q = Poly(ctx, [c if c in (0, 1) else rng.randrange(1, n) for c in quot])
+    R = Poly(ctx, [rng.randrange(n) for _ in range(db)])
+    a = Q * b + R
+    assert len(quot) - 1 < poly._NEWTON_DQ
+    assert schoolbook_divmod(a, b) == a.divmod(b) == (Q, R)
+    assert a // b == Q and a % b == R
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (5, 2)], ids=["7", "25"])
+def test_equal_polys_compare_and_hash_equal(p, k):
+    """The same polynomial from codes, from a product, from a double
+    negation, from a constant multiple, from a top-down quotient and from a
+    Newton quotient (a view with a negative stride) compares equal, hashes
+    equal and is one dict key: every route yields int64 rows."""
+    ctx = make_field(p, k)
+    rng = random.Random(p * k)
+    n = ctx.q * ctx.q
+    f = Poly(ctx, [rng.randrange(1, n) for _ in range(poly._NEWTON_DQ // 2)])
+    g = Poly(ctx, [rng.randrange(1, n) for _ in range(4)])
+    fg, long = f * g, f * f * g
+    assert fg.degree < poly._NEWTON_DQ <= long.degree
+    two = ctx.elem(2)
+    for x, built in [
+        (fg, [Poly(ctx, fg.codes + (0, 0)), -(-fg), fg.scale(two).scale(1 / two), (fg * f) // f]),
+        (long, [Poly(ctx, long.codes), (long * g) // g, long + Poly.zero(ctx)]),
+    ]:
+        assert all(y.rows.dtype == np.int64 for y in built + [x])
+        assert all(y == x and hash(y) == hash(x) for y in built)
+        assert len({y: None for y in built + [x]}) == 1
+    zeros = [Poly.zero(ctx), Poly(ctx, [0, 0]), fg - fg, fg % g, long % g]
+    assert all(z == zeros[0] and hash(z) == hash(zeros[0]) for z in zeros)
+    assert fg != fg + Poly.one(ctx)
 
 
 @pytest.mark.parametrize(
@@ -897,6 +949,7 @@ SUM_PINS = [
     (19, "171bf3e3c04e47dd74ded59d97b426a25e28f6701a92d3a93f6998ef18fc66c4"),
     (31, "c800ed7cdb3f3dec756f01613624b2402c4594c3a7f2771912caf0a11b74b4b3"),
     (43, "a7c8bab6254cfd74694e4ce99d231a68dda680ea4ffc28d8858d07f368dc0fdf"),
+    (139, "592e5fe9aeeefff8244d24a53e2aa97930219524370f384a8b685a9132c370e5"),
 ]
 
 

@@ -155,12 +155,25 @@ def test_nu_exponents():
 # ----------------------------------------------------------------------------
 
 
-def reference_intersections(ctx, L):
+def reference_terms(ctx):
+    """The line-independent part of the closed form: the pairs (gamma,
+    (-gamma^(q-1))^(-1)) for trace(gamma) != 0, by ascending code, and the
+    lists of x^(q-1) and of -x^(-(q-1)) indexed by the code of x != 0."""
+    q1 = ctx.q - 1
+    nonzero = list(ctx.elements())[1:]
+    gammas = [(g, (-(g**q1)).inverse()) for g in nonzero if g + frobenius(ctx, g) != 0]
+    return gammas, [None] + [x**q1 for x in nonzero], [None] + [-(x**-q1) for x in nonzero]
+
+
+def reference_intersections(ctx, L, terms):
     """I_L by the closed form in scalar FqElem arithmetic: the three-entry
     list and the dict gamma -> t_gamma, gammas by ascending code.  The
-    reference for the dlog-row route of ``build_intersections``."""
+    reference for the dlog-row route of ``build_intersections``.
+
+    t_gamma is the inverse of [-gamma^(q-1) : 1 : -(a gamma + b)^(q-1) :
+    (a + b gamma)^(q-1)], taken coordinate-wise and normalised to
+    [t3/t0 : t3 : t3/t2 : 1]; terms is ``reference_terms(ctx)``."""
     one = ctx.one
-    q1 = ctx.q - 1
     three_entry = []
     for z in mu_d_elements(ctx)[1:]:
         zi = z.inverse()
@@ -169,17 +182,11 @@ def reference_intersections(ctx, L):
         three_entry.append(TorusElt(one, one, z))
         three_entry.append(TorusElt(zi, zi, zi))
     a, b = L.a, L.b
+    gammas, power, neg_inv_power = terms
     gamma_indexed = {}
-    for gamma in ctx.elements():
-        if gamma + frobenius(ctx, gamma) == 0:
-            continue
-        t_inv = TorusElt.from_quad(
-            -(gamma**q1),
-            one,
-            -((a * gamma + b) ** q1),
-            (a + b * gamma) ** q1,
-        )
-        gamma_indexed[gamma] = t_inv.inverse()
+    for gamma, inv_t0 in gammas:
+        t3 = power[(a + b * gamma).code]
+        gamma_indexed[gamma] = TorusElt(t3 * inv_t0, t3, t3 * neg_inv_power[(a * gamma + b).code])
     return three_entry, gamma_indexed
 
 
@@ -199,10 +206,11 @@ def test_build_intersections_matches_scalar_reference(p, k):
     # comparison of multisets would miss a dropped negation
     ctx = make_field(p, k)
     n3 = 4 * (ctx.d - 1)
+    terms = reference_terms(ctx)
     for a, b in find_ab_pairs(ctx):
         L = Line(ctx, a, b)
         iset = build_intersections(ctx, L)
-        three_entry, gamma_indexed = reference_intersections(ctx, L)
+        three_entry, gamma_indexed = reference_intersections(ctx, L, terms)
         assert iset.exps[:n3].tolist() == [list(t.nu_exponents()) for t in three_entry]
         assert iset.gammas.tolist() == [g.code for g in gamma_indexed]
         for row, t in zip(iset.exps[n3:].tolist(), gamma_indexed.values()):
