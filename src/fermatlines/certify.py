@@ -24,29 +24,30 @@ Galois-stable.  The candidate list depends on q mod 12:
 
 The sums come from the F_q-plane route of ``charsum``: one histogram of
 the tuple (1, 1, 1) per candidate c tried, pushed forward by k -> ik to
-the counts vectors of (i, i, i, -3i).  The witness scan goes through the
-candidates in order; each reduces the representatives of the orbits still
-open as one batch (``cyc._canon_rows``), and an orbit whose representative
-is not 2q takes c as its witness.  Then each witness, in candidate order,
-pushes its histogram forward to the tuples of all the orbits it covers, in
-orbit order, as one batch, reduced _BLOCK_ROWS tuples at a time, and the
-rows are sliced back per orbit, with their mod-3 and S = 2q flags, each
-computed once per batch.  Orbit by orbit, each sum then passes the mod-3
-and S != 2q checks before it enters the coverage, so the first failing
-orbit raises, as in a per-tuple scan.  On the single line one % 3 over a
-batch's canon rows gives the mod-3 residues of all its sums, in both
-passes.  The line-count checks follow.  These scans keep their own
-plane and batches; they do not read the histogram that ``sum_S`` caches.
+the counts vectors of (i, i, i, -3i).  ``certify`` makes one pass over the
+candidates in order.  Each pushes its histogram forward to every member of
+the orbits still open, in orbit order, as one batch, reduced _BLOCK_ROWS
+tuples at a time (``cyc._canon_rows``) into one int64 matrix, so no tuple
+is reduced again once its orbit has a witness.  On the single line one % 3
+over the batch's rows gives the mod-3 residues of all its sums.  One S = 2q
+flag per row then settles each orbit: an orbit whose representative is not
+2q takes c as its witness and keeps its slice of the rows, the others stay
+open for the next candidate, and in both cases every member must carry its
+representative's flag (the Galois transfer).  The plane's tables are freed
+once the last candidate's histogram is taken.  The checks raise in
+candidate order, then orbit order; the missing-witness and line-count
+checks follow the pass.  These scans keep their own plane and batches;
+they do not read the histogram that ``sum_S`` caches.
 
 A ``Certificate`` keeps, per witnessed orbit, its witness c and the int64
 matrix of its canon rows.  ``to_json`` writes the command line's JSON text
 from the matrices, with one decimal string per value in the rows' range
 gathered by the rows; ``to_json_dict`` converts them row by row to lists
-of ints, and the csv and pretty output render those.  Neither builds an
+of ints, and the csv output renders those.  Neither builds an
 ExponentTuple, CycElt or CoverageEntry per tuple.  ``uncovered`` reads the
-uncovered indices from the groups.  ``coverage`` is a decoded view of the
-same rows (tuple -> CoverageEntry), built once on first access for the
-tests and the benchmark's tracer.
+uncovered indices from the groups; the pretty output prints it.
+``coverage`` is a decoded view of the same rows (tuple -> CoverageEntry),
+built once on first access for the tests and the benchmark's tracer.
 
 ``certify_general`` scans every tuple against every admissible c with no
 Galois transfer, computing every sum by the F_{q^2} sweep
@@ -131,7 +132,7 @@ class Certificate:
     the canon rows of S_c on them, in the same order.  Every other
     nontrivial tuple is uncovered.  ``to_json`` writes the command line's
     JSON text straight from the matrices; ``to_json_dict`` converts them
-    row by row to lists of ints, which the csv and pretty output render.
+    row by row to lists of ints, which the csv output renders.
     """
 
     def __init__(self, q: int, verdict: str, lines_used: int, orbits, witnessed):
@@ -257,11 +258,10 @@ def _one_mod_3(canon: np.ndarray) -> list[bool]:
     return ((residue[:, 0] == 1) & (residue[:, 1:] == 0).all(axis=1)).tolist()
 
 
-def _check_mod_3(
-    q: int, c: FqElem, indices: list[int], canon: np.ndarray, one_mod_3: list[bool]
-) -> None:
+def _check_mod_3(q: int, c: FqElem, indices: list[int], canon: np.ndarray) -> None:
     """Raise at the first canon row (S at c of (i, i, i, -3i), i in indices)
-    whose flag in one_mod_3 (``_one_mod_3`` of the rows) is False."""
+    that is not 1 mod 3, from one ``_one_mod_3`` over the rows."""
+    one_mod_3 = _one_mod_3(canon)
     if not all(one_mod_3):
         j = one_mod_3.index(False)
         raise ContradictionError(
@@ -273,82 +273,66 @@ def _check_mod_3(
 def certify(ctx: FieldCtx) -> Certificate:
     """Certify full rank by one witness per Galois orbit of w-type tuples.
 
-    Each orbit takes the first candidate c whose S on the orbit
-    representative differs from 2q; all its members are then swept with
-    that witness.  A theorem promises a witness unless q = 11 mod 12; there
-    a missing witness leaves the orbit uncovered (NOT_CERTIFIED).
+    Each candidate c in turn reduces every member of the orbits still
+    open, and an orbit whose representative's S differs from 2q takes c as
+    its witness.  A theorem promises a witness unless q = 11 mod 12; there
+    a missing witness leaves the orbit uncovered (NOT_CERTIFIED).  The
+    checks raise in candidate order, then orbit order: the mod-3 check of
+    the single line, the Galois transfer from each representative to its
+    members, then a missing witness and the line counts.
     """
     q, d = ctx.q, ctx.d
     single_line = q % 12 == 7
     candidates = [line_for_thm1(ctx).c] if single_line else admissible_values(ctx)
     plane = _PlaneSweep(ctx, 1, 1, 1)
     orbits = galois_orbits(d)
-
-    # pass 1, the witness scan: each candidate c sweeps one histogram of
-    # (1, 1, 1) and reduces the representatives of the open orbits as one
-    # batch.  No member batch is reduced yet, so no sweep's temporaries
-    # meet the coverage rows
-    groups = []  # (c, its histogram, the orbit positions it witnesses)
-    pending = list(range(len(orbits)))
+    witnessed, pending = [], orbits
     for c in candidates:
         if not pending:
             break
         hist = plane.counts(c)
-        reps = [orbits[k][0] for k in pending]
-        canon = _canon_rows(d, _pushforward(hist, reps))
+        if c is candidates[-1]:
+            del plane  # the last histogram is taken; the tables go
+        # the members of the open orbits, in orbit order, are one batch,
+        # reduced _BLOCK_ROWS tuples at a time into one matrix.  It is
+        # allocated once the first block is reduced, in the space that the
+        # block's temporaries freed; allocated before them, it raised the
+        # peak RSS of the small fields
+        idx = [i for orbit in pending for i in orbit]
+        first = _canon_rows(d, _pushforward(hist, idx[:_BLOCK_ROWS]))
+        canon = np.empty((len(idx), first.shape[1]), dtype=np.int64)
+        canon[: len(first)] = first
+        for s in range(_BLOCK_ROWS, len(idx), _BLOCK_ROWS):
+            block = idx[s : s + _BLOCK_ROWS]
+            canon[s : s + len(block)] = _canon_rows(d, _pushforward(hist, block))
         if single_line:
-            _check_mod_3(q, c, reps, canon, _one_mod_3(canon))
-        is_two_q = _is_two_q(q, canon).tolist()
-        if not all(is_two_q):
-            groups.append((c, hist, [k for k, hit in zip(pending, is_two_q) if not hit]))
-        pending = [k for k, hit in zip(pending, is_two_q) if hit]
-    del plane  # the witnesses keep their histograms; the tables go
-
-    # pass 2, per witness in candidate order: all the tuples of its orbits,
-    # in orbit order, are one batch, reduced _BLOCK_ROWS tuples at a time;
-    # the rows and their mod-3 and 2q flags, each taken once per batch, are
-    # then sliced back per orbit
-    found = {}  # orbit position -> (c, its canon rows, their mod-3 and 2q flags)
-    for c, hist, ks in groups:
-        idx = [i for k in ks for i in orbits[k]]
-        canon = np.concatenate(
-            [
-                _canon_rows(d, _pushforward(hist, idx[s : s + _BLOCK_ROWS]))
-                for s in range(0, len(idx), _BLOCK_ROWS)
-            ]
-        )
-        one_mod_3 = _one_mod_3(canon) if single_line else []
+            _check_mod_3(q, c, idx, canon)
         two_q = _is_two_q(q, canon)
-        start = 0
-        for k in ks:
-            end = start + len(orbits[k])
-            found[k] = (c, canon[start:end], one_mod_3[start:end], two_q[start:end])
-            start = end
-
-    # the checks, orbit by orbit in orbit order, so the first failing orbit
-    # raises as in a per-tuple scan
-    witnessed = []
-    for k, orbit in enumerate(orbits):
-        rep = _entries(d, orbit[0])
-        if k not in found:
-            if q % 12 != 11:
+        still_open, start = [], 0
+        for orbit in pending:
+            rows, hit = canon[start : start + len(orbit)], two_q[start : start + len(orbit)]
+            start += len(orbit)
+            # S_c(u*t) = sigma_u(S_c(t)), and sigma_u fixes 2q, so a member
+            # reads 2q exactly when its representative does
+            wrong = hit != hit[0]
+            if wrong.any():
+                j = int(wrong.argmax())
+                got = f"S = {rows[j].tolist()}" if hit[0] else f"S = 2q = {2 * q}"
                 raise ContradictionError(
-                    f"no witness at q={q} for tuple {rep}: expected S != 2q for"
-                    f" some c in {[c.dlog for c in candidates]}, got S = 2q = {2 * q}"
-                    " for each"
+                    f"Galois transfer failed at q={q} for tuple {_entries(d, orbit[j])},"
+                    f" c={c.dlog}: expected S {'=' if hit[0] else '!='} 2q as for"
+                    f" {_entries(d, orbit[0])}, got {got}"
                 )
-            continue
-        c, canon, one_mod_3, hit = found[k]
-        if single_line:
-            _check_mod_3(q, c, orbit, canon, one_mod_3)
-        # S_c(u*t) = sigma_u(S_c(t)), and sigma_u fixes 2q
-        if hit.any():
-            raise ContradictionError(
-                f"Galois transfer failed at q={q} for tuple"
-                f" {_entries(d, orbit[int(hit.argmax())])}, c={c.dlog}:"
-                f" expected S != 2q as for {rep}, got S = 2q = {2 * q}"
-            )
-        witnessed.append((orbit, c, canon))
+            if hit[0]:
+                still_open.append(orbit)
+            else:
+                witnessed.append((orbit, c, rows))
+        pending = still_open
+    if pending and q % 12 != 11:
+        raise ContradictionError(
+            f"no witness at q={q} for tuple {_entries(d, pending[0][0])}: expected S != 2q for"
+            f" some c in {[c.dlog for c in candidates]}, got S = 2q = {2 * q} for each"
+        )
     cert = _certificate(ctx, witnessed, orbits)
     if single_line and cert.lines_used != 1:
         raise ContradictionError(

@@ -281,8 +281,8 @@ def cmd_certify(ctx: FieldCtx, args) -> int:
     if args.format == "json":
         sys.stdout.write(cert.to_json(SCHEMA))
         return 0
-    doc = cert.to_json_dict()
     if args.format == "csv":
+        doc = cert.to_json_dict()
         canons = [e["S_canon"] or [] for e in doc["coverage"]]
         width = max(map(len, canons))
         header = ["i0", "i1", "i2", "i3", "c", "nonzero"] + [f"S_{j}" for j in range(width)]
@@ -296,7 +296,7 @@ def cmd_certify(ctx: FieldCtx, args) -> int:
         print(f"q = {ctx.q}: {cert.verdict}")
         print(f"expected rank: {cert.expected_rank}")
         print(f"lines used: {cert.lines_used}")
-        uncovered = [tuple(e["tuple"]) for e in doc["coverage"] if not e["nonzero"]]
+        uncovered = [(i, i, i, -3 * i % ctx.d) for i in cert.uncovered]
         if uncovered:
             print(f"uncovered tuples: {uncovered}")
         print(f"orbits: {cert.galois_orbits}")

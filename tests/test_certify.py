@@ -333,11 +333,10 @@ def test_certify_sweeps_once_per_candidate_tried(monkeypatch, q):
 
 @pytest.mark.parametrize("q", [11, 13, 17, 19, 499])
 def test_certify_reduces_one_batch_per_witness_in_blocks(monkeypatch, q):
-    # the witness scan reduces the open representatives once per candidate
-    # tried; then each witness, in candidate order, reduces the tuples of
-    # all its orbits, in orbit order, as one batch cut into blocks of
-    # _BLOCK_ROWS tuples.  At q = 499 the single line covers 499 tuples,
-    # which take two blocks
+    # one pass: each candidate tried reduces every member of the orbits
+    # still open, in orbit order, as one batch cut into blocks of
+    # _BLOCK_ROWS tuples, and no tuple of a witnessed orbit is reduced
+    # again.  At q = 499 the single line covers 499 tuples in two blocks
     F = field(q)
     orbits = galois_orbits(F.d)
     if q % 12 == 7:
@@ -349,16 +348,13 @@ def test_certify_reduces_one_batch_per_witness_in_blocks(monkeypatch, q):
             entry = general.coverage[ExponentTuple.w_type(F.d, orbit[0])]
             found.append(candidates.index(entry.c) if entry.nonzero else None)
     open_at = [len(candidates) if j is None else j for j in found]
-    expected = [
-        [o[0] for o, last in zip(orbits, open_at) if last >= n]
-        for n in range(min(max(open_at) + 1, len(candidates)))
-    ]
     block = charsum_mod._BLOCK_ROWS
-    for n in range(len(candidates)):
-        batch = [i for o, j in zip(orbits, found) if j == n for i in o]
+    expected = []
+    for n in range(min(max(open_at) + 1, len(candidates))):
+        batch = [i for o, last in zip(orbits, open_at) if last >= n for i in o]
         expected += [batch[s : s + block] for s in range(0, len(batch), block)]
     if q == 499:
-        assert [len(b) for b in expected] == [len(orbits), block, 499 - block]
+        assert [len(b) for b in expected] == [block, 499 - block]
     batches = []
     pushforward = certify_mod._pushforward
 
@@ -393,23 +389,68 @@ def test_certify_no_witness_is_a_contradiction(monkeypatch):
 
 
 def test_certify_galois_transfer_failure_is_a_contradiction(monkeypatch):
+    # S_c(u*t) = sigma_u(S_c(t)) and sigma_u fixes 2q, so a member reads 2q
+    # exactly when its representative does.  Three fake pushforwards break
+    # that: members at 2q under representatives that are not; representatives
+    # at 2q over members that are not; and at q = 17, certified with 2
+    # lines, the representative of the first open orbit moved off 2q in the
+    # second candidate's batch only
     reps = {o[0] for o in galois_orbits(14)}
     pushforward = certify_mod._pushforward
+    two_q = _constant_pushforward(lambda q: 2 * q)
 
-    def member_hits_2q(counts, idx):
+    def members_at_2q(counts, idx):
         out = pushforward(counts, idx)
         members = [k for k, i in enumerate(idx) if i not in reps]
-        out[members] = _constant_pushforward(lambda q: 2 * q)(counts, idx)[members]
+        out[members] = two_q(counts, idx)[members]
         return out
 
-    monkeypatch.setattr(certify_mod, "_pushforward", member_hits_2q)
-    F = field(13)
-    with pytest.raises(ContradictionError) as err:
-        certify(F)
-    witness = certify_general(F).coverage[ExponentTuple.w_type(14, 1)].c
-    msg = str(err.value)
-    assert f"Galois transfer failed at q=13 for tuple (3, 3, 3, 5), c={witness.dlog}" in msg
-    assert "as for (1, 1, 1, 11), got S = 2q = 26" in msg
+    def reps_at_2q(counts, idx):
+        out = pushforward(counts, idx)
+        heads = [k for k, i in enumerate(idx) if i in reps]
+        out[heads] = two_q(counts, idx)[heads]
+        return out
+
+    batches = []
+
+    def second_batch_off_2q(counts, idx):
+        batches.append(list(idx))
+        out = pushforward(counts, idx)
+        if len(batches) == 2:
+            out[0] = 0
+        return out
+
+    F13, F17 = field(13), field(17)
+    witness = certify_general(F13).coverage[ExponentTuple.w_type(14, 1)].c
+    first = admissible_values(F13)[0]
+    row = list(sum_S(F13, first, ExponentTuple.w_type(14, 3)).value.canon)
+    second = admissible_values(F17)[1]
+    cases = [
+        (
+            members_at_2q,
+            F13,
+            f"Galois transfer failed at q=13 for tuple (3, 3, 3, 5), c={witness.dlog}:"
+            " expected S != 2q as for (1, 1, 1, 11), got S = 2q = 26",
+        ),
+        (
+            reps_at_2q,
+            F13,
+            f"Galois transfer failed at q=13 for tuple (3, 3, 3, 5), c={first.dlog}:"
+            f" expected S = 2q as for (1, 1, 1, 11), got S = {row}",
+        ),
+        (
+            second_batch_off_2q,
+            F17,
+            f"Galois transfer failed at q=17 for tuple (15, 15, 15, 9), c={second.dlog}:"
+            " expected S != 2q as for (3, 3, 3, 9), got S = 2q = 34",
+        ),
+    ]
+    for fake, F, message in cases:
+        monkeypatch.setattr(certify_mod, "_pushforward", fake)
+        with pytest.raises(ContradictionError) as err:
+            certify(F)
+        assert str(err.value) == message
+    assert len(batches) == 2
 
 
 def test_certify_mod3_failure_is_a_contradiction(monkeypatch):

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from fermatlines import gf
+from fermatlines.certify import Certificate
 from fermatlines.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -385,6 +386,10 @@ CERTIFY_PINS = [
     (("--p", "13", "--format", "csv"), "68996f5402995e59397411be6fb26cfa067b8c48529925c0483bd6d88c5797e1"),
     (("--p", "11",), "d0cdce8b60ffe01401d58b47e9ea6c04d3c11a54451f09fdc522275eadf736fc"),
     (("--p", "13",), "34b4f6d5c0ba2559925dfbe75128c3320033f9f738730f612ee13c26c2f379ee"),
+    # past one block of _BLOCK_ROWS = 256 tuples: q = 263 takes 2 lines over
+    # 261 tuples, q = 499 the single line over 499 tuples in 2 blocks
+    (("--p", "263", "--format", "json"), "a2d77969da1436499d7b07fbf4295cfdd06afc6cad615d6a3211f54fcf245ce9"),
+    (("--p", "499", "--format", "json"), "596de44934fea5fa6be0340be53b436f6b335825f823c88f39ff06591eb9c064"),
     # recorded before the x^(m/2) = -1 fold in the reduction of Z[zeta_d]
     (
         ("--p", "1429", "--format", "json"),
@@ -416,6 +421,18 @@ CERTIFY_PINS = [
 def test_certify_output_matches_pin(capsys, args, digest):
     rc, out = run(capsys, "certify", *args, "--extended")
     assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("p", ["11", "13"])
+def test_certify_pretty_reads_uncovered_without_the_json_dict(capsys, monkeypatch, p):
+    def unused(self):
+        raise AssertionError("the pretty output built to_json_dict")
+
+    monkeypatch.setattr(Certificate, "to_json_dict", unused)
+    rc, out = run(capsys, "certify", "--p", p)
+    assert rc == 0
+    digest = next(d for a, d, *_ in CERTIFY_PINS if a == ("--p", p))
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
